@@ -1,6 +1,6 @@
 """Scale-throughput guards: the 10k-thread tentpole numbers.
 
-Two load-bearing properties of the scalability work are asserted here
+Four load-bearing properties of the scalability work are asserted here
 rather than described:
 
 1. **kernel event throughput** -- at 10,000 threads the current kernel
@@ -21,13 +21,22 @@ rather than described:
    the sweep must not exceed the bottom: with dirty-set scans,
    per-tenant shards and batched penalty arming, a 100x bigger
    population may not cost a larger *fraction* of the run.
+4. **eevdf vs cfs** -- the configuration ``repro scale`` ships (eevdf,
+   six tenant families) must keep its event throughput within
+   :data:`EEVDF_RATIO_CEILING` of cfs on the identical spec at 10,000
+   threads, and never leave the O(log n) heap pick for the counted
+   slow path (the scale scenario has no affinity, DARC tag or
+   demotion).  The smoke leg runs it at the top smoke point with
+   :data:`SMOKE_EEVDF_RATIO_CEILING`, loose enough for a noisy runner
+   but tight enough to catch a return to an O(n) pick.
 
 The full sweep (100 -> 10,000 threads) is recorded to
 ``results/SCALE.json`` for ``repro report``; under ``REPRO_SMOKE`` a
 two-point smoke sweep runs, the throughput and growth floors are
 recorded but not asserted (the smoke points are too small to saturate
-the host), and the overhead floor is asserted with smoke-sized slack
--- that assertion is the CI ``scale-guard`` leg's teeth.
+the host), and the overhead floor and the eevdf ratio are asserted
+with smoke-sized slack -- those assertions are the CI ``scale-guard``
+leg's teeth.  The eevdf guard writes nothing to ``results/SCALE.json``.
 """
 
 import os
@@ -38,7 +47,11 @@ import pytest
 from _common import once
 from _legacy_kernel import bind_legacy
 
-from repro.scale.scenario import ScaleSpec, build_scale_scenario
+from repro.scale.scenario import (
+    EXTENDED_APP_KINDS,
+    ScaleSpec,
+    build_scale_scenario,
+)
 from repro.scale.sweep import (
     DEFAULT_THREAD_COUNTS,
     SMOKE_THREAD_COUNTS,
@@ -72,31 +85,40 @@ SMOKE_OVERHEAD_SLACK = 0.05
 #: (bottom -> top of the sweep) may cost at most this factor more per
 #: event.  A linear-in-pBoxes manager would grow ~100x.
 SWEEP_GROWTH_CEILING = 3.0
+#: eevdf guard (full run, 10k threads): cfs events/sec may exceed
+#: eevdf's by at most this factor.  On a 2-vCPU x86 host the
+#: heap-indexed pick measured 1.1-1.3x; the O(n) scan it replaced ran
+#: at 1.4k events/s here, tens of times behind.
+EEVDF_RATIO_CEILING = 1.5
+#: eevdf guard (smoke, 400 threads): on the same host 1.1-1.3x with the
+#: heap and ~4.5x with the O(n) scan, so 2x separates the two on a
+#: noisy runner.
+SMOKE_EEVDF_RATIO_CEILING = 2.0
 
 
-def _timed_run(threads, legacy):
-    """Build + run one A/B variant; returns (wall_s, events)."""
-    spec = ScaleSpec(threads, seed=1, manager_enabled=True,
-                     event_budget=GUARD_EVENT_BUDGET)
-    binder = (lambda k, m: bind_legacy(k, m)) if legacy else None
-    scenario = build_scale_scenario(spec, kernel_binder=binder)
+def _timed_run(spec, kernel_binder=None):
+    """Build + run one spec; returns (wall_s, events, kernel)."""
+    scenario = build_scale_scenario(spec, kernel_binder=kernel_binder)
     kernel = scenario.kernel
     armed_before = next(kernel._seq)
     start = time.perf_counter()
     scenario.run()
     wall_s = time.perf_counter() - start
     events = next(kernel._seq) - 1 - armed_before
-    return wall_s, events
+    return wall_s, events, kernel
 
 
 def _ab_throughput(threads, rounds=2):
     """Interleaved new/legacy runs; min wall per variant (noise floor)."""
+    spec = ScaleSpec(threads, seed=1, manager_enabled=True,
+                     event_budget=GUARD_EVENT_BUDGET)
     new_walls, legacy_walls = [], []
     new_events = legacy_events = None
     for _ in range(rounds):
-        wall, new_events = _timed_run(threads, legacy=False)
+        wall, new_events, _kernel = _timed_run(spec)
         new_walls.append(wall)
-        wall, legacy_events = _timed_run(threads, legacy=True)
+        wall, legacy_events, _kernel = _timed_run(
+            spec, kernel_binder=lambda k, m: bind_legacy(k, m))
         legacy_walls.append(wall)
     assert new_events == legacy_events, (
         "A/B kernels diverged: %d vs %d events -- the legacy binding is "
@@ -192,3 +214,44 @@ def test_scale_sweep_and_throughput_guard(benchmark):
         "manager cost is not sub-linear in pBoxes: %.3f us/event at %d "
         "threads vs %.3f at %d (ceiling %.3f over a 100x pBox growth)"
         % (high, top["threads"], base, bottom["threads"], sweep_ceiling))
+
+
+def _policy_throughput(threads, rounds):
+    """Interleaved cfs/eevdf runs of the shipped six-family spec.
+
+    Returns ``{sched: (events, min wall_s)}``.  Events/sec is the
+    comparable unit: the two policies schedule differently, so their
+    event counts differ on the same spec.
+    """
+    walls = {"cfs": [], "eevdf": []}
+    events = {}
+    for _ in range(rounds):
+        for sched in walls:
+            spec = ScaleSpec(threads, sched=sched,
+                             families=EXTENDED_APP_KINDS,
+                             event_budget=GUARD_EVENT_BUDGET, seed=1)
+            wall, events[sched], kernel = _timed_run(spec)
+            walls[sched].append(wall)
+            if sched == "eevdf":
+                assert kernel.run_queue.slow_picks == 0, (
+                    "%d eevdf picks left the heap fast path on the "
+                    "scale scenario, which has no affinity, DARC tag "
+                    "or demotion" % kernel.run_queue.slow_picks)
+    return {sched: (events[sched], min(walls[sched])) for sched in walls}
+
+
+def test_eevdf_throughput_within_ratio_of_cfs(benchmark):
+    smoke = bool(os.environ.get("REPRO_SMOKE"))
+    threads = SMOKE_THREAD_COUNTS[-1] if smoke else GUARD_THREADS
+    ceiling = SMOKE_EEVDF_RATIO_CEILING if smoke else EEVDF_RATIO_CEILING
+    result = once(benchmark, lambda: _policy_throughput(threads, rounds=3))
+    rate = {sched: events / wall
+            for sched, (events, wall) in result.items()}
+    ratio = rate["cfs"] / rate["eevdf"]
+    print("\neevdf vs cfs at %d threads: %d vs %d ev/s (cfs %.2fx, "
+          "ceiling %.1fx)" % (threads, rate["eevdf"], rate["cfs"], ratio,
+                              ceiling))
+    assert ratio <= ceiling, (
+        "eevdf throughput fell behind cfs: %d vs %d events/s at %d "
+        "threads (%.2fx, ceiling %.1fx)"
+        % (rate["eevdf"], rate["cfs"], threads, ratio, ceiling))

@@ -32,7 +32,9 @@ from repro.scale.scenario import ScaleSpec, build_scale_scenario
 #: ``families``, plus per-point ``family_requests`` (requests per
 #: tenant family, manager-on run); older consumers must treat all
 #: three as absent (the report renders them defensively).
-SCALE_SCHEMA = 4
+#: Schema 5 adds per-point ``sched_slow_picks`` (run-queue picks that
+#: fell past the policy's head-of-queue shortcut, manager-on run).
+SCALE_SCHEMA = 5
 
 #: Field glossary for SCALE.json, mirrored (both directions) by the
 #: glossary table in docs/PERFORMANCE.md -- ``tools/check_docs.py``
@@ -62,6 +64,7 @@ SCALE_FIELDS = {
     "requests": "application requests completed (manager on)",
     "baseline_requests": "application requests completed (manager off)",
     "family_requests": "requests completed per tenant family (manager on)",
+    "sched_slow_picks": "run-queue picks past the head shortcut (manager on)",
     "manager": "manager cost breakdown for this point",
     # point["manager"] keys.
     "detection_cost_s": "enabled minus disabled wall seconds (min-of-rounds)",
@@ -198,6 +201,7 @@ def measure_scale_point(threads, seed=1, event_budget=250_000, rounds=2,
         "events_per_sec": round(run_events / wall_s) if wall_s else 0,
         "requests": scenario.total_requests(),
         "family_requests": scenario.requests_by_family(),
+        "sched_slow_picks": scenario.kernel.run_queue.slow_picks,
         "manager": {
             "wall_s": round(base_wall_s, 4),
             "detection_cost_s": round(manager_cost_s, 4),

@@ -35,6 +35,9 @@ microseconds -- the same contract the kernel documents.
 """
 
 from collections import deque
+from heapq import heapify, heappop, heappush
+from itertools import count
+from operator import itemgetter
 
 from repro.sim.thread import ThreadState
 
@@ -69,9 +72,12 @@ class Core:
 class SchedPolicy:
     """Protocol shared by the pluggable run-queue policies.
 
-    Subclasses own a ``_queue`` deque (the kernel's dispatch loop tests
-    its truthiness directly) and implement the push/pick methods.  The
-    bookkeeping helpers below are policy-independent.
+    Subclasses own a ``_queue`` container holding exactly the queued
+    threads (a deque for FIFO, a heap of entries for EEVDF): the
+    kernel's dispatch loop tests its truthiness directly and
+    ``len(policy)`` reads its length.  They implement the push/pick
+    methods; the bookkeeping helpers below assume a container of bare
+    threads in queue order and are overridden otherwise.
     """
 
     #: Policy name as selected by ``Kernel(sched=...)``.
@@ -81,6 +87,12 @@ class SchedPolicy:
     #: (pop the head if it has no affinity, no demotion, and the core
     #: has no reservation) is equivalent to ``pick_for_core``.
     fifo_fast_path = False
+
+    #: ``pick_for_core`` calls that fell past the policy's head-of-queue
+    #: shortcut into a scan of the whole queue (affinity, DARC
+    #: reservation or demotion in play).  Host-cost telemetry only:
+    #: kept out of ``Kernel.stats`` and of checkpoint state.
+    slow_picks = 0
 
     def __len__(self):
         return len(self._queue)
@@ -142,6 +154,7 @@ class RunQueue(SchedPolicy):
                 and not head.demoted_until_us):
             queue.popleft()
             return head
+        self.slow_picks += 1
         now = self._now()
         demoted_index = None
         for i, thread in enumerate(queue):
@@ -179,10 +192,34 @@ class EevdfRunQueue(SchedPolicy):
     that distinguish EEVDF from the FIFO policy.  Work conservation is
     explicit: when every feasible thread is still ineligible, the
     virtual clock jumps forward to the first eligible point rather
-    than idling the core.  Ties break by queue arrival order (strict
-    ``<`` comparisons over a deterministic scan), and every quantity
-    is an integer microsecond, so the policy inherits the kernel's
-    bit-for-bit determinism contract.
+    than idling the core.  Every quantity is an integer microsecond,
+    so the policy inherits the kernel's bit-for-bit determinism
+    contract.
+
+    Layout: ``_queue`` is one binary min-heap of ``(v_deadline_us,
+    rank, thread)`` entries holding exactly the queued threads (no
+    lazy deletion -- the kernel truth-tests it and :meth:`charge`
+    reads its length as the runnable count).  ``rank`` comes from one
+    counter: ``push`` takes ``+n`` and ``push_front`` takes ``-n``, so
+    sorting by rank reproduces FIFO queue order exactly and deadline
+    ties break by queue position.  Ranks are unique, so the heap never
+    compares threads.
+
+    One heap suffices because every queued thread carries ``v_deadline
+    == v_eligible + slice_us`` (one slice for all threads, stamped at
+    push and never touched while queued): deadline order *is*
+    eligibility order.  After the work-conserving clock jump to the
+    smallest feasible eligible time, that thread is eligible and holds
+    the smallest deadline, so the earliest eligible deadline is simply
+    the smallest key.  Per-thread weights or slices would break the
+    invariant and need a second heap keyed by eligible time.
+
+    Picks cost O(log n): one ``heappop`` whenever the core has no DARC
+    reservation and the heap head has no affinity mask and is not
+    demoted.  Otherwise a counted slow path (``slow_picks``) makes one
+    pass over the heap for the smallest feasible non-demoted entry
+    (with the clock jump), falling back to the smallest feasible
+    demoted entry (no jump), then removes it and re-heapifies.
 
     Invariants the property suite pins (tests/test_sched_policies.py):
 
@@ -199,7 +236,8 @@ class EevdfRunQueue(SchedPolicy):
     fifo_fast_path = False
 
     def __init__(self, slice_us=DEFAULT_QUANTUM_US):
-        self._queue = deque()
+        self._queue = []
+        self._ranks = count(1)
         self.slice_us = slice_us
         self.vtime_us = 0
 
@@ -214,14 +252,16 @@ class EevdfRunQueue(SchedPolicy):
         thread.v_deadline_us = thread.vruntime_us + self.slice_us
 
     def push(self, thread):
-        """Stamp eligibility/deadline and append a READY thread."""
+        """Stamp eligibility/deadline and queue a READY thread last."""
         self._enter(thread)
-        self._queue.append(thread)
+        heappush(self._queue,
+                 (thread.v_deadline_us, next(self._ranks), thread))
 
     def push_front(self, thread):
         """Handed-back slice: same stamping, earlier tie-break rank."""
         self._enter(thread)
-        self._queue.appendleft(thread)
+        heappush(self._queue,
+                 (thread.v_deadline_us, -next(self._ranks), thread))
 
     def charge(self, thread, ran_us):
         """Account ``ran_us`` of service against the virtual clocks.
@@ -246,6 +286,16 @@ class EevdfRunQueue(SchedPolicy):
                 return False
         return True
 
+    def _take(self, index):
+        """Remove the heap entry at ``index``; returns its thread."""
+        queue = self._queue
+        thread = queue[index][2]
+        last = queue.pop()
+        if index < len(queue):
+            queue[index] = last
+            heapify(queue)
+        return thread
+
     def pick_for_core(self, core):
         """Dequeue the earliest-deadline eligible thread for ``core``.
 
@@ -256,52 +306,51 @@ class EevdfRunQueue(SchedPolicy):
         queue = self._queue
         if not queue:
             return None
-        now = self._now()
-        reserved = core.reserved_for
-        min_eligible = None
-        for thread in queue:
-            if not self._feasible(thread, core, reserved):
-                continue
-            if thread.demoted_until_us > now:
-                continue
-            ve = thread.v_eligible_us
-            if min_eligible is None or ve < min_eligible:
-                min_eligible = ve
-        if min_eligible is not None:
-            if self.vtime_us < min_eligible:
+        head = queue[0][2]
+        if (core.reserved_for is None and head.affinity is None
+                and (not head.demoted_until_us
+                     or head.demoted_until_us <= self._now())):
+            heappop(queue)
+            if self.vtime_us < head.v_eligible_us:
                 # Work conservation: never idle a core while a feasible
                 # thread is queued -- jump the virtual clock to the
                 # first eligible point.
-                self.vtime_us = min_eligible
-            vtime = self.vtime_us
-            best = None
-            best_index = -1
-            for i, thread in enumerate(queue):
-                if not self._feasible(thread, core, reserved):
-                    continue
-                if thread.demoted_until_us > now:
-                    continue
-                if thread.v_eligible_us > vtime:
-                    continue
-                if best is None or thread.v_deadline_us < best.v_deadline_us:
-                    best = thread
-                    best_index = i
-            del queue[best_index]
-            return best
-        # Only demoted threads fit (or nothing does): min-deadline
-        # among the feasible demoted threads.
-        best = None
-        best_index = -1
-        for i, thread in enumerate(queue):
+                self.vtime_us = head.v_eligible_us
+            return head
+        self.slow_picks += 1
+        now = self._now()
+        reserved = core.reserved_for
+        best = demoted = None
+        for index, entry in enumerate(queue):
+            thread = entry[2]
             if not self._feasible(thread, core, reserved):
                 continue
-            if best is None or thread.v_deadline_us < best.v_deadline_us:
-                best = thread
-                best_index = i
-        if best is None:
-            return None
-        del queue[best_index]
-        return best
+            if thread.demoted_until_us > now:
+                if demoted is None or entry < queue[demoted]:
+                    demoted = index
+            elif best is None or entry < queue[best]:
+                best = index
+        if best is not None:
+            thread = self._take(best)
+            if self.vtime_us < thread.v_eligible_us:
+                self.vtime_us = thread.v_eligible_us
+            return thread
+        if demoted is not None:
+            return self._take(demoted)
+        return None
+
+    def remove(self, thread):
+        """Remove ``thread`` if queued; returns True if it was present."""
+        for index, entry in enumerate(self._queue):
+            if entry[2] is thread:
+                self._take(index)
+                return True
+        return False
+
+    def threads(self):
+        """Queued threads in queue (rank) order."""
+        return [entry[2] for entry in sorted(self._queue,
+                                             key=itemgetter(1))]
 
     def snapshot_state(self):
         """JSON-safe policy state (checkpoint walker)."""
@@ -309,7 +358,7 @@ class EevdfRunQueue(SchedPolicy):
             "vtime_us": self.vtime_us,
             "queued": [
                 (t.tid, t.vruntime_us, t.v_eligible_us, t.v_deadline_us)
-                for t in self._queue
+                for t in self.threads()
             ],
         }
 

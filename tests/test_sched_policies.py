@@ -21,10 +21,21 @@ Two halves, matching the seam's two claims:
    pair proves the policy actually diverges from cfs on a contended
    case (a pin of a policy whose schedule never differs would be
    vacuous).
+
+3. **the heap-indexed eevdf queue is the scan it replaced.**  A
+   verbatim copy of the scan-based queue stays here as an oracle; a
+   hypothesis differential drives both through identical push /
+   push_front / pick / charge / remove scripts with affinity masks,
+   DARC reservations and demotion windows, and compares every pick,
+   the virtual clock, every thread's stamps and the queue order after
+   each step.  The slow-path counter is pinned alongside: zero on an
+   unconstrained queue, rising when the head is pinned, reserved
+   against, or demoted.
 """
 
 import json
 import os
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,10 +43,12 @@ from hypothesis import given, settings, strategies as st
 from repro.obs.golden import first_divergence, run_golden_case
 from repro.sim.kernel import Kernel
 from repro.sim.scheduler import (
+    DEFAULT_QUANTUM_US,
     Core,
     EevdfRunQueue,
     RunQueue,
     SCHED_POLICIES,
+    SchedPolicy,
     make_run_queue,
 )
 from repro.sim.syscalls import Compute, Sleep
@@ -316,6 +329,336 @@ def test_eevdf_respects_affinity_and_reservation():
     queue.push(outsider)
     assert queue.pick_for_core(reserved_core) is None
     assert queue.pick_for_core(core0) is outsider
+
+
+# ---------------------------------------------------------------------------
+# Half 3: the heap-indexed eevdf queue against the scan it replaced.
+
+
+class _ScanEevdfRunQueue(SchedPolicy):
+    """Reference oracle: the scan-based eevdf queue, method for method
+    as it shipped before the run queue became a heap (a deque scanned
+    up to three times per pick, ties broken by scan position)."""
+
+    name = "eevdf"
+    fifo_fast_path = False
+
+    def __init__(self, slice_us=DEFAULT_QUANTUM_US):
+        self._queue = deque()
+        self.slice_us = slice_us
+        self.vtime_us = 0
+
+    def _enter(self, thread):
+        thread.state = ThreadState.READY
+        if thread.vruntime_us < self.vtime_us:
+            # place_entity: a thread that slept (or was just born)
+            # re-enters at the virtual clock instead of cashing in the
+            # lag it accumulated off-CPU.
+            thread.vruntime_us = self.vtime_us
+        thread.v_eligible_us = thread.vruntime_us
+        thread.v_deadline_us = thread.vruntime_us + self.slice_us
+
+    def push(self, thread):
+        """Stamp eligibility/deadline and append a READY thread."""
+        self._enter(thread)
+        self._queue.append(thread)
+
+    def push_front(self, thread):
+        """Handed-back slice: same stamping, earlier tie-break rank."""
+        self._enter(thread)
+        self._queue.appendleft(thread)
+
+    def charge(self, thread, ran_us):
+        """Account ``ran_us`` of service against the virtual clocks.
+
+        The thread's vruntime advances by its service; the queue's
+        virtual clock advances by the service spread over the runnable
+        population (single-weight fair rate).  The explicit jump in
+        ``pick_for_core`` keeps work conservation independent of this
+        rate's rounding.
+        """
+        if ran_us <= 0:
+            return
+        thread.vruntime_us += ran_us
+        runnable = len(self._queue) + 1
+        self.vtime_us += max(1, ran_us // runnable)
+
+    def _feasible(self, thread, core, reserved):
+        if thread.affinity is not None and core.index not in thread.affinity:
+            return False
+        if reserved is not None:
+            if getattr(thread, "darc_tag", None) != reserved:
+                return False
+        return True
+
+    def pick_for_core(self, core):
+        """Dequeue the earliest-deadline eligible thread for ``core``.
+
+        Demoted threads are only picked when no normal feasible thread
+        exists, mirroring the FIFO policy's demotion semantics (with
+        min-deadline order among the demoted).
+        """
+        queue = self._queue
+        if not queue:
+            return None
+        now = self._now()
+        reserved = core.reserved_for
+        min_eligible = None
+        for thread in queue:
+            if not self._feasible(thread, core, reserved):
+                continue
+            if thread.demoted_until_us > now:
+                continue
+            ve = thread.v_eligible_us
+            if min_eligible is None or ve < min_eligible:
+                min_eligible = ve
+        if min_eligible is not None:
+            if self.vtime_us < min_eligible:
+                # Work conservation: never idle a core while a feasible
+                # thread is queued -- jump the virtual clock to the
+                # first eligible point.
+                self.vtime_us = min_eligible
+            vtime = self.vtime_us
+            best = None
+            best_index = -1
+            for i, thread in enumerate(queue):
+                if not self._feasible(thread, core, reserved):
+                    continue
+                if thread.demoted_until_us > now:
+                    continue
+                if thread.v_eligible_us > vtime:
+                    continue
+                if best is None or thread.v_deadline_us < best.v_deadline_us:
+                    best = thread
+                    best_index = i
+            del queue[best_index]
+            return best
+        # Only demoted threads fit (or nothing does): min-deadline
+        # among the feasible demoted threads.
+        best = None
+        best_index = -1
+        for i, thread in enumerate(queue):
+            if not self._feasible(thread, core, reserved):
+                continue
+            if best is None or thread.v_deadline_us < best.v_deadline_us:
+                best = thread
+                best_index = i
+        if best is None:
+            return None
+        del queue[best_index]
+        return best
+
+    def snapshot_state(self):
+        """JSON-safe policy state (checkpoint walker)."""
+        return {
+            "vtime_us": self.vtime_us,
+            "queued": [
+                (t.tid, t.vruntime_us, t.v_eligible_us, t.v_deadline_us)
+                for t in self._queue
+            ],
+        }
+
+
+class _TaggedThread(_FakeThread):
+    """A fake thread that also carries the DARC request-type tag."""
+
+    __slots__ = ("darc_tag",)
+
+    def __init__(self, tid):
+        super().__init__(tid)
+        self.darc_tag = None
+
+
+_POPULATION = 6
+_TAGS = (None, "a", "b")
+
+#: One differential step.  ``pick`` charges the picked thread
+#: ``ran_us`` (the kernel's slice end) and then re-queues it with
+#: ``requeue`` (``None`` leaves it off-queue, as a blocking thread);
+#: ``charge`` bills an off-queue thread again; ``demote`` opens a
+#: window relative to the current clock (a non-positive offset gives an
+#: already-expired window); ``retag`` rewrites a thread's affinity mask
+#: and DARC tag, queued or not.
+_AFFINITIES = st.none() | st.frozensets(st.integers(0, 2), min_size=1)
+_THREAD_IDS = st.integers(0, _POPULATION - 1)
+_PICK = st.tuples(st.just("pick"), st.integers(0, 2), st.integers(0, 2_500),
+                  st.sampled_from((None, "push", "push_front")))
+_DIFF_STEPS = st.lists(
+    st.one_of(
+        _PICK,
+        _PICK,  # twice: picks are the operation under test
+        st.tuples(st.just("push"), _THREAD_IDS),
+        st.tuples(st.just("push_front"), _THREAD_IDS),
+        st.tuples(st.just("charge"), _THREAD_IDS, st.integers(0, 2_500)),
+        st.tuples(st.just("remove"), _THREAD_IDS),
+        st.tuples(st.just("demote"), _THREAD_IDS,
+                  st.integers(-1_500, 3_000)),
+        st.tuples(st.just("advance"), st.integers(1, 2_000)),
+        st.tuples(st.just("retag"), _THREAD_IDS, _AFFINITIES,
+                  st.sampled_from(_TAGS)),
+    ),
+    min_size=20, max_size=150,
+)
+
+#: Per-core DARC reservations (one to three cores).
+_RESERVATIONS = st.lists(st.sampled_from(_TAGS), min_size=1, max_size=3)
+
+#: Each thread's starting (affinity, DARC tag, demotion offset).
+_CONSTRAINTS = st.lists(
+    st.tuples(_AFFINITIES, st.sampled_from(_TAGS),
+              st.integers(-1_500, 3_000)),
+    min_size=_POPULATION, max_size=_POPULATION)
+
+
+def _stamps(threads):
+    return [(t.tid, t.state, t.vruntime_us, t.v_eligible_us,
+             t.v_deadline_us) for t in threads]
+
+
+def _tid(thread):
+    return None if thread is None else thread.tid
+
+
+def _run_differential(steps, reservations, constraints=None):
+    """Drive the heap queue and the scan oracle through ``steps``.
+
+    Every thread is pushed once before the script starts, so picks see
+    a populated queue.  Each queue owns its own thread copies (both
+    mutate stamps); after every step the result, the virtual clock,
+    every thread's stamps and the queue order must agree.  Returns the
+    heap queue.
+    """
+    clock = [0]
+    heap, scan = EevdfRunQueue(slice_us=1_000), \
+        _ScanEevdfRunQueue(slice_us=1_000)
+    for queue in (heap, scan):
+        queue._now = lambda: clock[0]
+    cores = []
+    for index, tag in enumerate(reservations):
+        core = Core(index)
+        core.reserved_for = tag
+        cores.append(core)
+    mine = [_TaggedThread(i) for i in range(_POPULATION)]
+    theirs = [_TaggedThread(i) for i in range(_POPULATION)]
+    for tid, (affinity, tag, demote) in enumerate(constraints or ()):
+        for thread in (mine[tid], theirs[tid]):
+            thread.affinity = affinity
+            thread.darc_tag = tag
+            thread.demoted_until_us = max(0, demote)
+    queued = set()
+    for step in [("push", tid) for tid in range(_POPULATION)] + steps:
+        op, arg = step[0], step[1]
+        if op in ("push", "push_front"):
+            if arg in queued:
+                continue
+            getattr(heap, op)(mine[arg])
+            getattr(scan, op)(theirs[arg])
+            queued.add(arg)
+        elif op == "pick":
+            core = cores[arg % len(cores)]
+            picked = heap.pick_for_core(core)
+            expected = scan.pick_for_core(core)
+            assert _tid(picked) == _tid(expected), (
+                "pick diverged on core %d: heap %r vs scan %r"
+                % (core.index, picked, expected))
+            if picked is not None:
+                queued.discard(picked.tid)
+                heap.charge(picked, step[2])
+                scan.charge(expected, step[2])
+                if step[3] is not None:
+                    getattr(heap, step[3])(picked)
+                    getattr(scan, step[3])(expected)
+                    queued.add(picked.tid)
+        elif op == "charge":
+            if arg in queued:
+                continue
+            heap.charge(mine[arg], step[2])
+            scan.charge(theirs[arg], step[2])
+        elif op == "remove":
+            assert heap.remove(mine[arg]) == scan.remove(theirs[arg])
+            queued.discard(arg)
+        elif op == "demote":
+            until = max(1, clock[0] + step[2])
+            mine[arg].demoted_until_us = theirs[arg].demoted_until_us = until
+        elif op == "advance":
+            clock[0] += arg
+        else:
+            for thread in (mine[arg], theirs[arg]):
+                thread.affinity = step[2]
+                thread.darc_tag = step[3]
+        assert heap.vtime_us == scan.vtime_us
+        assert _stamps(mine) == _stamps(theirs)
+        assert [t.tid for t in heap.threads()] == \
+            [t.tid for t in scan.threads()]
+        assert len(heap) == len(scan) == len(queued)
+        assert heap.snapshot_state() == scan.snapshot_state()
+    return heap
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=_DIFF_STEPS, reservations=_RESERVATIONS,
+       constraints=_CONSTRAINTS)
+def test_eevdf_heap_matches_scan_oracle(steps, reservations, constraints):
+    """Affinity, DARC reservations and demotion: every pick agrees."""
+    _run_differential(steps, reservations, constraints)
+
+
+_UNCONSTRAINED_STEPS = _DIFF_STEPS.map(lambda steps: [
+    step for step in steps if step[0] not in ("demote", "retag")])
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=_UNCONSTRAINED_STEPS, cores=st.integers(1, 3))
+def test_eevdf_heap_unconstrained_never_takes_slow_path(steps, cores):
+    """No affinity, reservation or demotion: every pick is a heappop."""
+    heap = _run_differential(steps, [None] * cores)
+    assert heap.slow_picks == 0
+
+
+def _queue_with_head(**fields):
+    """An eevdf queue whose head thread carries ``fields``."""
+    queue = EevdfRunQueue(slice_us=1_000)
+    queue._now = lambda: 5_000
+    head, other = _TaggedThread(0), _TaggedThread(1)
+    for name, value in fields.items():
+        setattr(head, name, value)
+    queue.push(head)
+    queue.push(other)
+    return queue, head, other
+
+
+def test_eevdf_slow_picks_count_constrained_heads():
+    core = Core(0)
+    queue, head, other = _queue_with_head(affinity=frozenset({1}))
+    assert queue.pick_for_core(core) is other
+    assert queue.slow_picks == 1
+    queue, head, other = _queue_with_head(demoted_until_us=9_000)
+    assert queue.pick_for_core(core) is other
+    assert queue.slow_picks == 1
+    # An expired demotion window keeps the head on the fast path.
+    queue, head, other = _queue_with_head(demoted_until_us=4_000)
+    assert queue.pick_for_core(core) is head
+    assert queue.slow_picks == 0
+    reserved = Core(0)
+    reserved.reserved_for = "a"
+    queue, head, other = _queue_with_head()
+    other.darc_tag = "a"
+    assert queue.pick_for_core(reserved) is other
+    assert queue.pick_for_core(reserved) is None
+    assert queue.slow_picks == 2
+
+
+def test_cfs_slow_picks_count_picks_past_head_shortcut():
+    queue = RunQueue()
+    core = Core(0)
+    free, pinned = _TaggedThread(0), _TaggedThread(1)
+    pinned.affinity = frozenset({1})
+    queue.push(free)
+    queue.push(pinned)
+    assert queue.pick_for_core(core) is free
+    assert queue.slow_picks == 0
+    assert queue.pick_for_core(core) is None
+    assert queue.slow_picks == 1
 
 
 # ---------------------------------------------------------------------------
