@@ -177,11 +177,11 @@ class PBoxManager:
             "penalty_clamped": 0,
             "penalty_reverts": 0,
         }
-        # Detection dirty set (ROADMAP item 1, landed): psids touched
-        # by state events or freezes since the last scan drain.  scan()
-        # consumes it -- detection work is proportional to this set,
-        # never to the registered-pBox population.  Kept out of
-        # ``stats`` deliberately: golden documents pin that dict.
+        # Detection dirty set: psids touched by state events or
+        # freezes since the last scan drain.  scan() consumes it --
+        # detection work is proportional to this set, never to the
+        # registered-pBox population.  Kept out of ``stats``
+        # deliberately: golden documents pin that dict.
         self.dirty_psids = set()
         # Observability window set: psids touched since the telemetry
         # pipeline's last drain_active().  Separate from the detection

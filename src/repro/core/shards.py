@@ -9,8 +9,8 @@ resource keys.  :class:`ShardedPBoxManager` splits that state per
 tenant: each shard is a full, unmodified ``PBoxManager`` whose maps
 only ever contain its own tenant's pBoxes and keys, so per-event cost
 is paid against tenant-sized state (docs/PERFORMANCE.md has the cost
-model).  ROADMAP item 2 (per-process kernel shards) gets its seam here:
-a shard is exactly the manager state that would move into a process.
+model).  A shard is also exactly the manager state a per-process
+kernel would move into each process.
 
 What shards share -- the application-global pieces:
 

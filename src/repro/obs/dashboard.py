@@ -5,8 +5,8 @@ Both renderers are pure functions of a
 ``repro watch`` live view, the ``--html`` export, and the tests all
 consume the same data and stay in lockstep.  The HTML export is fully
 self-contained (inline CSS + inline SVG, zero external assets or
-scripts) so the file can be attached to a bug report or served by the
-future serving layer (ROADMAP item 5) as-is.
+scripts) so the file can be attached to a bug report or served by any
+static web server as-is.
 """
 
 import html

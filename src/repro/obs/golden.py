@@ -14,7 +14,9 @@ Canonical serialization rules (``event_line``): field names are sorted,
 values are rendered without memory addresses (pBoxes by psid, resource
 keys through :func:`~repro.obs.tracepoints.key_label`, enums by name),
 so the digest is stable across processes, platforms and Python
-versions.
+versions.  ``event_line`` is the reference; the digest renders each
+event with the line renderer compiled for its shape
+(:func:`line_renderer`), which produces the same text.
 """
 
 import hashlib
@@ -53,6 +55,11 @@ def canonical_value(value):
         return value
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(canonical_value(part) for part in value) + "]"
+    return _object_label(value)
+
+
+def _object_label(value):
+    """:func:`canonical_value` of a value that is no primitive."""
     psid = getattr(value, "psid", None)
     if psid is not None:
         return "pbox:%s" % psid
@@ -74,6 +81,75 @@ def event_line(name, time_us, fields):
     return "%s %d" % (name, time_us)
 
 
+class _ValueLabels(dict):
+    """Exact class -> the function that renders its values.
+
+    Plain ``int`` and ``str`` never get here: a compiled renderer hands
+    them to ``%s`` itself.  Each entry gives what :func:`canonical_value`
+    gives, and a class is classified the first time one of its values
+    is rendered.  Labels are never cached per object: an object's psid
+    or name may change while it lives.
+    """
+
+    def __missing__(self, cls):
+        if issubclass(cls, (int, float, str, list, tuple)):
+            label = canonical_value
+        else:
+            label = _object_label
+        self[cls] = label
+        return label
+
+
+_LABELS = _ValueLabels({
+    type(None): lambda _value: "~",
+    bool: lambda value: "T" if value else "F",
+    float: repr,
+})
+
+#: ``(name, *field names in firing order)`` -> compiled line renderer.
+_RENDERERS = {}
+
+
+def line_renderer(name, fields):
+    """The renderer for events shaped like ``name`` firing ``fields``.
+
+    ``render(time_us, fields)`` returns ``event_line(name, time_us,
+    fields) + "\\n"`` for every event of that shape.  The first event of
+    a shape compiles its renderer: one ``%`` over a format string that
+    holds the name and the sorted field names, with ``%`` escaped.
+    """
+    shape = (name, *fields)
+    render = _RENDERERS.get(shape)
+    if render is None:
+        render = _RENDERERS[shape] = _compile_renderer(name, sorted(fields))
+    return render
+
+
+def _compile_renderer(name, keys):
+    # For "pbox.event" firing pbox, key and event this compiles:
+    #   def render(time_us, fields):
+    #       v0 = fields['event']
+    #       cls = type(v0)
+    #       if cls is not int and cls is not str:
+    #           v0 = labels[cls](v0)
+    #       ... v1 = fields['key'], v2 = fields['pbox'] likewise ...
+    #       return 'pbox.event %d event=%s key=%s pbox=%s\n' % (
+    #           time_us, v0, v1, v2,)
+    template = " ".join([name.replace("%", "%%"), "%d"] + [
+        key.replace("%", "%%") + "=%s" for key in keys]) + "\n"
+    source = ["def render(time_us, fields):"]
+    for index, key in enumerate(keys):
+        source += ["    v%d = fields[%r]" % (index, key),
+                   "    cls = type(v%d)" % index,
+                   "    if cls is not int and cls is not str:",
+                   "        v%d = labels[cls](v%d)" % (index, index)]
+    source.append("    return %r %% (%s,)" % (template, ", ".join(
+        ["time_us"] + ["v%d" % index for index in range(len(keys))])))
+    namespace = {"labels": _LABELS}
+    exec("\n".join(source), namespace)
+    return namespace["render"]
+
+
 class TraceDigest:
     """Tracepoint subscriber computing a rolling SHA-256 of the stream.
 
@@ -91,8 +167,11 @@ class TraceDigest:
         self._sha = hashlib.sha256()
 
     def __call__(self, name, time_us, fields):
-        self._sha.update(event_line(name, time_us, fields).encode())
-        self._sha.update(b"\n")
+        # line_renderer's cache lookup, inlined: this runs per event.
+        render = _RENDERERS.get((name, *fields))
+        if render is None:
+            render = line_renderer(name, fields)
+        self._sha.update(render(time_us, fields).encode())
         self.events += 1
         if self.events % self.checkpoint_every == 0:
             self.checkpoints.append(self._sha.hexdigest())
@@ -138,6 +217,8 @@ class WindowRecorder:
     Used when a golden comparison fails: re-running the case with a
     recorder scoped to the first divergent window turns an opaque
     digest mismatch into the actual events around the divergence.
+    Lines come from the renderers :class:`TraceDigest` hashes, so each
+    is what the digest saw, less the newline.
     """
 
     def __init__(self, start_event, count=CHECKPOINT_EVERY):
@@ -150,8 +231,8 @@ class WindowRecorder:
         index = self._seen
         self._seen += 1
         if self.start_event <= index < self.start_event + self.count:
-            self.lines.append("%7d  %s" % (index, event_line(name, time_us,
-                                                             fields)))
+            line = line_renderer(name, fields)(time_us, fields)
+            self.lines.append("%7d  %s" % (index, line[:-1]))
 
     def attach(self, bus):
         bus.subscribe_all(self, names=canonical_names(bus))

@@ -2,8 +2,8 @@
 
 The telemetry pipeline needs per-tenant latency distributions that can
 be (a) kept always-on at O(1) memory, (b) merged across windows,
-tenants, and -- once the kernel is sharded per process (ROADMAP item
-2) -- across shard streams, and (c) compared byte-for-byte so a merged
+tenants, and -- were the kernel split into per-process shards --
+across shard streams, and (c) compared byte-for-byte so a merged
 document is reproducible regardless of which shard finished first.
 
 :class:`QuantileSketch` is DDSketch-style: values land in log-spaced

@@ -7,8 +7,7 @@ trace) that maintains three views of a running simulation:
 1. **Per-tenant mergeable sketches** -- request latency, slowdown ratio
    (recorded in milli-units: 1000 == nominal speed), and wait time --
    built on :class:`~repro.obs.sketch.QuantileSketch`, so per-shard
-   streams combine byte-identically in any merge order (ROADMAP item
-   2's requirement).
+   streams would combine byte-identically in any merge order.
 2. **Fixed-width virtual-time windows** (default 100ms) producing an
    aggregate time-series: throughput, latency percentiles, bad-request
    count, penalty activity, manager event volume, and active-set size.

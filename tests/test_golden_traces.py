@@ -11,19 +11,30 @@ without bisecting millions of events.
 
 Intentional behavior changes are blessed with ``make regen-golden``
 (review the corpus diff before committing it).
+
+The digest renders each event with a renderer compiled for its shape;
+a differential property test holds those renderers, and the digest and
+window recorder built on them, to the reference ``event_line``.
 """
 
 import difflib
+import enum
+import hashlib
 import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cases import ALL_CASES
+from repro.core.events import StateEvent
 from repro.obs.golden import (
     CHECKPOINT_EVERY,
+    TraceDigest,
     WindowRecorder,
+    event_line,
     first_divergence,
+    line_renderer,
     run_golden_case,
 )
 
@@ -142,3 +153,109 @@ def test_case_replays_bit_identical(case_id):
            _document_diff(golden, actual),
            start, start + CHECKPOINT_EVERY - 1, len(lines), preview),
         pytrace=False)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Label(str):
+    """A str subclass: not a plain str to the compiled renderers."""
+
+
+class _Owned:
+    """A value carrying a psid attribute, which may be None."""
+
+    def __init__(self, psid):
+        self.psid = psid
+
+
+class _Named:
+    """A resource key carrying a name: a str, an empty str or not a str."""
+
+    def __init__(self, name):
+        self.name = name
+
+
+class _Plain:
+    """A default-repr object: it renders by class name only."""
+
+
+class _Printable:
+    """A key with its own ``__str__``, which its label uses."""
+
+    def __str__(self):
+        return "printable 100%"
+
+
+_TEXT = st.text(alphabet="ab %=sd.", max_size=6)
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(1 << 70), 1 << 70),
+    st.sampled_from(list(_Level)),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    _TEXT,
+    _TEXT.map(_Label),
+    st.sampled_from(list(StateEvent)),
+    st.integers(0, 99).map(_Owned),
+    st.just(_Owned(None)),
+    st.one_of(_TEXT, st.integers()).map(_Named),
+    st.builds(_Plain),
+    st.builds(_Printable),
+)
+
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda parts: st.one_of(st.lists(parts, max_size=3),
+                            st.lists(parts, max_size=3).map(tuple)),
+    max_leaves=6)
+
+#: A few names and keys, so shapes repeat across a stream and compiled
+#: renderers are reused; ``%`` in either must come out literally.
+_NAMES = st.sampled_from(["sched.switch", "pbox.event", "odd%name", "%s%d"])
+_KEYS = st.sampled_from(["tid", "key", "psid", "%", "a%sb", "100%d", "x=y"])
+
+_EVENTS = st.tuples(_NAMES, st.integers(-5, 1 << 40),
+                    st.dictionaries(_KEYS, _VALUES, max_size=5))
+
+
+# A bad template fails in many ways at once (wrong text, TypeError,
+# ValueError); shrinking each of them separately takes minutes.
+@settings(report_multiple_bugs=False)
+@given(st.lists(_EVENTS, max_size=12))
+def test_compiled_renderers_match_reference(stream):
+    """Compiled lines, the digest and the window equal ``event_line``'s.
+
+    Every event is also fired with its keys in reverse insertion order:
+    a second shape with its own renderer and the same line.  The
+    digest's checkpoints every 3 events must equal the SHA-256 of the
+    joined reference lines up to each checkpoint.
+    """
+    events = []
+    for name, time_us, fields in stream:
+        events.append((name, time_us, fields))
+        events.append((name, time_us, dict(reversed(list(fields.items())))))
+    lines = [event_line(name, time_us, fields) + "\n"
+             for name, time_us, fields in events]
+    for (name, time_us, fields), line in zip(events, lines):
+        assert line_renderer(name, fields)(time_us, fields) == line
+
+    digest = TraceDigest(checkpoint_every=3)
+    recorder = WindowRecorder(1, count=4)
+    for event in events:
+        digest(*event)
+        recorder(*event)
+
+    def sha(count):
+        return hashlib.sha256("".join(lines[:count]).encode()).hexdigest()
+
+    assert digest.events == len(events)
+    assert digest.digest_so_far() == sha(len(events))
+    assert digest.checkpoints == [
+        sha(count) for count in range(3, len(events) + 1, 3)]
+    assert recorder.lines == ["%7d  %s" % (index, lines[index][:-1])
+                              for index in range(1, min(5, len(events)))]
