@@ -75,7 +75,8 @@ def _guard_cost_ns(loops=2_000_000):
     for _ in rng:
         pass
     empty = time.perf_counter() - start
-    return max(0.0, (guarded - empty) / loops * 1e9)
+    # Unclamped: noise can make it negative, and it is reported so.
+    return (guarded - empty) / loops * 1e9
 
 
 def test_tracing_disabled_overhead_within_budget(benchmark):

@@ -102,8 +102,10 @@ def _measure_case(case_id):
         "attached_s": best["attached"],
         "detached_s": best["detached"],
         # Cost charged against the modeled time being traced.
-        "attached_ratio": max(0.0, added_attached) / TIMING_DURATION_S,
-        "detached_ratio": max(0.0, added_detached) / TIMING_DURATION_S,
+        # Unclamped: noise can make a difference negative, and it is
+        # reported as measured.
+        "attached_ratio": added_attached / TIMING_DURATION_S,
+        "detached_ratio": added_detached / TIMING_DURATION_S,
         # Raw wall-clock slowdowns, for transparency.
         "attached_wall_ratio": best["attached"] / best["plain"] - 1.0,
         "detached_wall_ratio": best["detached"] / best["plain"] - 1.0,

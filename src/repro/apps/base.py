@@ -14,7 +14,7 @@ Two pieces every model uses:
   ``do_command``), and ``close`` releases the pBox.
 """
 
-from repro.core.events import StateEvent
+from repro.core.events import ENTER, HOLD, PREPARE, UNHOLD
 from repro.core.rules import IsolationRule
 
 
@@ -63,23 +63,23 @@ class Instrumentation:
         """The current pBox starts being deferred by ``key``."""
         if self._tp_acquire.active:
             self._fire(self._tp_acquire, key)
-        self.runtime.update_pbox(key, StateEvent.PREPARE)
+        self.runtime.update_pbox(key, PREPARE)
 
     def enter(self, key):
         """The current pBox is no longer deferred by ``key``."""
-        self.runtime.update_pbox(key, StateEvent.ENTER)
+        self.runtime.update_pbox(key, ENTER)
 
     def hold(self, key):
         """The current pBox is holding ``key``."""
         if self._tp_hold.active:
             self._fire(self._tp_hold, key)
-        self.runtime.update_pbox(key, StateEvent.HOLD)
+        self.runtime.update_pbox(key, HOLD)
 
     def unhold(self, key):
         """The current pBox released ``key``."""
         if self._tp_release.active:
             self._fire(self._tp_release, key)
-        self.runtime.update_pbox(key, StateEvent.UNHOLD)
+        self.runtime.update_pbox(key, UNHOLD)
 
     # -- bundled patterns -------------------------------------------------
 

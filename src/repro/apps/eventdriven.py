@@ -23,8 +23,8 @@ enqueue, ENTER at dispatch), and a running task *holds* one worker
 """
 
 from repro.apps.base import Connection
-from repro.core.events import StateEvent
-from repro.core.runtime import BindFlag
+from repro.core.events import ENTER, HOLD, PREPARE, UNHOLD
+from repro.core.runtime import SHARED_THREAD
 from repro.sim.primitives import TaskQueue
 from repro.sim.syscalls import FutexWait
 
@@ -114,7 +114,7 @@ class PBoxWorkerPool:
         pbox = self._pbox_of(task)
         if pbox is not None:
             self.manager.activate(pbox)
-            self.manager.update(pbox, self, StateEvent.PREPARE)
+            self.manager.update(pbox, self, PREPARE)
         self.queue.put(task)
         if self._tp_enqueue.active:
             self._tp_enqueue.fire(
@@ -157,21 +157,21 @@ class PBoxWorkerPool:
                 )
             pbox = self._pbox_of(task)
             if pbox is not None:
-                self.manager.update(pbox, self, StateEvent.ENTER)
-                self.manager.update(pbox, self, StateEvent.HOLD)
+                self.manager.update(pbox, self, ENTER)
+                self.manager.update(pbox, self, HOLD)
             # Ownership transfer: bind the connection's pBox to this
             # worker for the duration of the task (lazy unbind applies
             # when the same worker processes the same connection again).
             bound = self.runtime.bind_pbox(
-                task.connection.bind_key, BindFlag.SHARED_THREAD
+                task.connection.bind_key, SHARED_THREAD
             )
             yield from self.handler(task)
             if bound != -1:
                 self.runtime.unbind_pbox(
-                    task.connection.bind_key, BindFlag.SHARED_THREAD
+                    task.connection.bind_key, SHARED_THREAD
                 )
             if pbox is not None:
-                self.manager.update(pbox, self, StateEvent.UNHOLD)
+                self.manager.update(pbox, self, UNHOLD)
                 self.manager.freeze(pbox)
             task.done = True
             task.finished_at_us = self.kernel.now_us
@@ -216,7 +216,7 @@ class EventDrivenConnection(Connection):
         """Create the pBox and park it under ``bind_key``."""
         self.psid = self.runtime.create_pbox(self.app.config.make_rule())
         if self.psid != -1:
-            self.runtime.unbind_pbox(self.bind_key, BindFlag.SHARED_THREAD)
+            self.runtime.unbind_pbox(self.bind_key, SHARED_THREAD)
         return
         yield  # pragma: no cover - keeps this a generator
 

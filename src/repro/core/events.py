@@ -28,6 +28,11 @@ class StateEvent(enum.Enum):
     UNHOLD = "unhold"
 
 
+#: The members as module names, the same objects (see
+#: ``repro.sim.thread``): per-event code compares through these.
+PREPARE, ENTER, HOLD, UNHOLD = StateEvent
+
+
 class CompetitorEntry:
     """One waiter in the competitor map: which pBox, waiting since when.
 

@@ -20,10 +20,10 @@ Implements the monitoring and mitigation pipeline of Sections 4.3-4.4:
 
 import itertools
 
-from repro.core.events import CompetitorEntry, StateEvent
-from repro.core.pbox import ActivityRecord, PBox, PBoxStatus
+from repro.core.events import ENTER, HOLD, PREPARE, UNHOLD, CompetitorEntry
+from repro.core.pbox import ACTIVE, DESTROYED, FROZEN, ActivityRecord, PBox
 from repro.core.penalty import AdaptivePenalty
-from repro.core.rules import Metric
+from repro.core.rules import AVERAGE, TAIL
 
 # Sentinel resource key for pBox-level (freeze-time) actions that cannot
 # be attributed to a specific resource.
@@ -232,11 +232,11 @@ class PBoxManager:
 
     def release(self, pbox):
         """Destroy a pBox, detaching it from maps and its thread."""
-        if pbox.status is PBoxStatus.DESTROYED:
+        if pbox.status is DESTROYED:
             return
-        if pbox.status is PBoxStatus.ACTIVE:
+        if pbox.status is ACTIVE:
             self.freeze(pbox)
-        pbox.status = PBoxStatus.DESTROYED
+        pbox.status = DESTROYED
         for key in list(self.competitor_map):
             entries = self.competitor_map[key]
             entries[:] = [entry for entry in entries if entry.pbox is not pbox]
@@ -266,7 +266,7 @@ class PBoxManager:
         for key in list(pbox.prepares):
             self._remove_competitor(key, pbox)
         pbox.prepares.clear()
-        pbox.status = PBoxStatus.ACTIVE
+        pbox.status = ACTIVE
         pbox.activity_start_us = self.kernel.now_us
         pbox.defer_time_us = 0
         if self._tp_activate.active:
@@ -282,7 +282,7 @@ class PBoxManager:
 
     def freeze(self, pbox):
         """Stop tracing the current activity and run pBox-level detection."""
-        if pbox.status is not PBoxStatus.ACTIVE:
+        if pbox.status is not ACTIVE:
             return
         now = self.kernel.now_us
         exec_us = pbox.exec_time_us(now)
@@ -291,7 +291,7 @@ class PBoxManager:
         pbox.total_defer_us += record.defer_us
         pbox.total_exec_us += record.exec_us
         pbox.activities_completed += 1
-        pbox.status = PBoxStatus.FROZEN
+        pbox.status = FROZEN
         if self._tp_freeze.active:
             self._tp_freeze.fire(now, psid=pbox.psid,
                                  defer_us=record.defer_us,
@@ -345,7 +345,7 @@ class PBoxManager:
         evaluated = 0
         for psid in pending:
             pbox = self._pboxes.get(psid)
-            if pbox is None or pbox.status is not PBoxStatus.FROZEN:
+            if pbox is None or pbox.status is not FROZEN:
                 stats["skipped_clean"] += 1
                 continue
             self._pbox_level_detection(pbox)
@@ -403,7 +403,7 @@ class PBoxManager:
         self.dirty_psids.add(pbox.psid)
         self.active_psids.add(pbox.psid)
 
-        if event is StateEvent.PREPARE:
+        if event is PREPARE:
             if key in pbox.prepares:
                 # A pBox waits on a key at most once at a time; a
                 # duplicate PREPARE means the matching ENTER annotation
@@ -415,7 +415,7 @@ class PBoxManager:
             )
             return
 
-        if event is StateEvent.ENTER:
+        if event is ENTER:
             pbox.prepares.pop(key, None)
             entries = self.competitor_map.get(key)
             if not entries:
@@ -431,7 +431,7 @@ class PBoxManager:
                 self.competitor_map.pop(key, None)
             return
 
-        if event is StateEvent.HOLD:
+        if event is HOLD:
             pbox.holders[key] = now
             holders = self._key_holders.get(key)
             if holders is None:
@@ -439,7 +439,7 @@ class PBoxManager:
             holders[pbox.psid] = pbox
             return
 
-        if event is StateEvent.UNHOLD:
+        if event is UNHOLD:
             hold_start = pbox.holders.pop(key, None)
             if hold_start is None:
                 return
@@ -489,7 +489,7 @@ class PBoxManager:
         victim_defer = 0
         for entry in entries:
             waiter = entry.pbox
-            if waiter is holder or waiter.status is not PBoxStatus.ACTIVE:
+            if waiter is holder or waiter.status is not ACTIVE:
                 continue
             open_defer = now - entry.time_us
             total_defer = waiter.defer_time_us + open_defer
@@ -518,9 +518,9 @@ class PBoxManager:
         (noisy pBox, key) pair recorded during recent activities.
         """
         metric = pbox.rule.metric
-        if metric is Metric.AVERAGE:
+        if metric is AVERAGE:
             level = pbox.average_interference_level()
-        elif metric is Metric.TAIL:
+        elif metric is TAIL:
             level = pbox.tail_interference_level()
         else:
             level = pbox.max_interference_level()

@@ -19,6 +19,11 @@ class PBoxStatus(enum.Enum):
     DESTROYED = "destroyed"
 
 
+#: The members as module names, the same objects (see
+#: ``repro.sim.thread``).
+START, ACTIVE, FROZEN, DESTROYED = PBoxStatus
+
+
 class ActivityRecord:
     """Summary of one finished activity: defer and execution time."""
 
@@ -47,7 +52,7 @@ class PBox:
     def __init__(self, psid, rule, thread=None):
         self.psid = psid
         self.rule = rule
-        self.status = PBoxStatus.START
+        self.status = START
         self.thread = thread
 
         # --- current-activity accounting -------------------------------

@@ -26,6 +26,11 @@ class Metric(enum.Enum):
     MAX = "max"
 
 
+#: The members as module names, the same objects (see
+#: ``repro.sim.thread``).
+AVERAGE, TAIL, MAX = Metric
+
+
 class IsolationRule:
     """A performance isolation goal attached to a pBox at creation.
 

@@ -20,8 +20,8 @@ per-operation latencies.
 
 import enum
 
-from repro.core.events import StateEvent
-from repro.core.pbox import PBoxStatus
+from repro.core.events import ENTER, HOLD, PREPARE, UNHOLD
+from repro.core.pbox import ACTIVE
 
 
 class BindFlag(enum.Enum):
@@ -29,6 +29,11 @@ class BindFlag(enum.Enum):
 
     DEDICATED_THREAD = "dedicated"
     SHARED_THREAD = "shared"
+
+
+#: The members as module names, the same objects (see
+#: ``repro.sim.thread``).
+DEDICATED_THREAD, SHARED_THREAD = BindFlag
 
 
 class OperationCosts:
@@ -180,19 +185,17 @@ class PBoxRuntime:
         pbox = self._current_pbox()
         if pbox is None or pbox.detached:
             return
-        if pbox.status is not PBoxStatus.ACTIVE and event in (
-            StateEvent.PREPARE,
-            StateEvent.ENTER,
-        ):
+        if pbox.status is not ACTIVE and (event is PREPARE
+                                          or event is ENTER):
             # Tracing only runs while active (Section 4.3.2); holder
             # bookkeeping still matters for safe penalty timing.
             self._charge_ns(self.costs.library_ns)
             return
-        if event is StateEvent.HOLD and key in pbox.holders:
+        if event is HOLD and key in pbox.holders:
             self.stats["saved_syscalls"] += 1
             self._charge_ns(self.costs.library_ns)
             return
-        if event is StateEvent.UNHOLD and key not in pbox.holders:
+        if event is UNHOLD and key not in pbox.holders:
             self.stats["saved_syscalls"] += 1
             self._charge_ns(self.costs.library_ns)
             return
@@ -217,7 +220,7 @@ class PBoxRuntime:
             return -1
         self._charge_ns(self.costs.library_ns)
         pbox.detached = True
-        pbox.shared_thread = flags is BindFlag.SHARED_THREAD
+        pbox.shared_thread = flags is SHARED_THREAD
         self._detached[key] = pbox
         return pbox.psid
 
@@ -240,7 +243,7 @@ class PBoxRuntime:
             self._charge_ns(self.costs.bind_ns)
             pbox.detached = False
             self.manager.bind(
-                pbox, thread, shared=flags is BindFlag.SHARED_THREAD
+                pbox, thread, shared=flags is SHARED_THREAD
             )
         del self._detached[key]
         return pbox.psid

@@ -107,8 +107,12 @@ class PBoxTracer:
         self._bus = None
 
     def _bus_event(self, _name, time_us, fields):
-        self.on_event(time_us, fields["pbox"], fields["key"],
-                      fields["event"])
+        if self.record_events:
+            self.on_event(time_us, fields["pbox"], fields["key"],
+                          fields["event"])
+        else:
+            # on_event's lean path, inline: it runs once per state event.
+            self.event_counts[fields["event"]._value_] += 1
 
     def _bus_detect(self, _name, time_us, fields):
         self.on_detection(time_us, fields["noisy"], fields["victim"],
@@ -125,11 +129,12 @@ class PBoxTracer:
 
     def on_event(self, time_us, pbox, key, event):
         """Record one state event (cheap counter unless record_events)."""
-        self.event_counts[event.value] += 1
+        value = event._value_
+        self.event_counts[value] += 1
         if self.record_events:
             self._append(
                 self._event_records,
-                TraceRecord(time_us, "event", pbox.psid, key, event.value),
+                TraceRecord(time_us, "event", pbox.psid, key, value),
             )
 
     def on_detection(self, time_us, noisy, victim, key):

@@ -24,13 +24,8 @@ Everything is computed in virtual microseconds and costs nothing when
 the profiler is not attached (the usual tracepoint guarantee).
 """
 
-from repro.core.events import StateEvent
 from repro.obs.metrics import Histogram
 from repro.obs.tracepoints import key_label
-
-#: Enum -> value strings, prebuilt: a dict hit is much cheaper at fire
-#: time than the enum's DynamicClassAttribute ``.value`` descriptor.
-_EVENT_VALUES = {event: event.value for event in StateEvent}
 
 #: Aggressor label used when no holder or releaser could be identified.
 UNKNOWN = "<unknown>"
@@ -440,15 +435,18 @@ class AttributionProfiler:
         append = self._pending.append
         labels = self._key_labels
 
+        # The state event is recorded as its value string, read through
+        # the ``_value_`` attribute: the ``.value`` property and a dict
+        # keyed by members (Enum.__hash__) both run Python code per
+        # event.
         def record_state_event(_name, now, fields, append=append,
-                               labels=labels, values=_EVENT_VALUES,
-                               key_label=key_label):
+                               labels=labels, key_label=key_label):
             key = fields.get("key")
             label = labels.get(key)
             if label is None:
                 label = labels[key] = key_label(key)
             append(("pbox.event", now, fields["pbox"].psid, label,
-                    values[fields["event"]]))
+                    fields["event"]._value_))
 
         def record_futex_wait(_name, now, fields, append=append,
                               labels=labels, key_label=key_label):

@@ -20,7 +20,9 @@ event with the line renderer compiled for its shape
 """
 
 import hashlib
+from operator import attrgetter
 
+from repro.core.events import StateEvent
 from repro.obs.tracepoints import is_derived, key_label
 
 #: Events per rolling checkpoint in a golden document.
@@ -104,6 +106,9 @@ _LABELS = _ValueLabels({
     type(None): lambda _value: "~",
     bool: lambda value: "T" if value else "F",
     float: repr,
+    # What _object_label gives a state event, without its psid probe,
+    # name property and module test: ~1 value in every pbox.event line.
+    StateEvent: attrgetter("_name_"),
 })
 
 #: ``(name, *field names in firing order)`` -> compiled line renderer.

@@ -360,26 +360,7 @@ class MetricsCollector:
 
     def attach(self, bus):
         """Subscribe to every relevant tracepoint; returns ``self``."""
-        handlers = {
-            "sched.switch": self._on_switch,
-            "sched.enqueue": self._on_enqueue,
-            "sched.sleep": self._on_sleep,
-            "futex.wait": self._on_futex_wait,
-            "futex.wake": self._on_futex_wake,
-            "cgroup.throttle": self._on_throttle,
-            "cgroup.unthrottle": self._on_unthrottle,
-            "penalty.inject": self._on_penalty_inject,
-            "pbox.create": self._on_pbox_create,
-            "pbox.release": self._on_pbox_release,
-            "pbox.event": self._on_pbox_event,
-            "pbox.detect": self._on_detect,
-            "pbox.action": self._on_action,
-            "pbox.penalty": self._on_penalty,
-            "pbox.freeze": self._on_freeze,
-            "pool.enqueue": self._on_pool_enqueue,
-            "pool.dispatch": self._on_pool_dispatch,
-            "app.note": self._on_app_note,
-        }
+        handlers = self._make_handlers()
         self._handlers = handlers
         for name, handler in handlers.items():
             bus.subscribe(name, handler)
@@ -396,89 +377,173 @@ class MetricsCollector:
 
     # -- handlers --------------------------------------------------------
 
-    def _on_switch(self, _name, _t, _f):
-        self.registry.inc("sched.context_switches")
+    def _make_handlers(self):
+        """Build one handler per tracepoint.
 
-    def _on_enqueue(self, _name, now, fields):
-        waited = self._wait_since.pop(fields["tid"], None)
-        if waited is not None:
-            kind, start = waited
-            self.registry.histogram("%s_us" % kind).record(now - start)
+        A handler looks each metric it records up in the registry on its
+        first event and keeps the object: the registry ends up holding
+        exactly the metrics that were recorded, created in the order
+        they first were, and later events update them in place.  Metrics
+        named per event (state-event kinds, app notes, wait kinds) are
+        cached by their name's string part.
+        """
+        registry = self.registry
+        wait_since = self._wait_since
+        wait_histograms = {}    # wait kind -> Histogram "<kind>_us"
 
-    def _on_sleep(self, _name, now, fields):
-        self._wait_since[fields["tid"]] = ("sched.sleep", now)
+        def counting(name):
+            counter = None
 
-    def _on_futex_wait(self, _name, now, fields):
-        self.registry.inc("futex.waits")
-        self._wait_since[fields["tid"]] = ("futex.wait", now)
+            def handler(_name, _t, _f):
+                nonlocal counter
+                if counter is None:
+                    counter = registry.counter(name)
+                counter.value += 1
+            return handler
 
-    def _on_futex_wake(self, _name, _t, fields):
-        self.registry.inc("futex.wakes")
-        self.registry.inc("futex.woken", len(fields["woken"]))
+        def counting_recording(counter_name, histogram_name, field):
+            counter = histogram = None
 
-    def _on_throttle(self, _name, now, fields):
-        self.registry.inc("cgroup.throttles")
-        self._wait_since[fields["tid"]] = ("cgroup.throttled", now)
+            def handler(_name, _t, fields):
+                nonlocal counter, histogram
+                if counter is None:
+                    counter = registry.counter(counter_name)
+                    histogram = registry.histogram(histogram_name)
+                counter.value += 1
+                histogram.record(fields[field])
+            return handler
 
-    def _on_unthrottle(self, _name, now, fields):
-        for tid in fields["tids"]:
-            waited = self._wait_since.pop(tid, None)
+        def counted_by(template, field):
+            counters = {}   # field value -> Counter ``template % value``
+
+            def handler(_name, _t, fields):
+                value = fields[field]
+                counter = counters.get(value)
+                if counter is None:
+                    counter = counters[value] = registry.counter(
+                        template % value)
+                counter.value += 1
+            return handler
+
+        def counted_wait(counter_name, kind):
+            counter = None
+
+            def handler(_name, now, fields):
+                nonlocal counter
+                if counter is None:
+                    counter = registry.counter(counter_name)
+                counter.value += 1
+                wait_since[fields["tid"]] = (kind, now)
+            return handler
+
+        def on_sleep(_name, now, fields):
+            wait_since[fields["tid"]] = ("sched.sleep", now)
+
+        def on_enqueue(_name, now, fields):
+            waited = wait_since.pop(fields["tid"], None)
             if waited is not None:
-                self.registry.histogram("cgroup.throttled_us").record(
-                    now - waited[1]
-                )
+                kind, start = waited
+                histogram = wait_histograms.get(kind)
+                if histogram is None:
+                    histogram = wait_histograms[kind] = registry.histogram(
+                        "%s_us" % kind)
+                histogram.record(now - start)
 
-    def _on_penalty_inject(self, _name, _t, fields):
-        self.registry.inc("penalty.injections")
-        self.registry.histogram("penalty.injected_us").record(
-            fields["delay_us"]
-        )
+        wakes = woken = None
 
-    def _on_pbox_create(self, _name, _t, _f):
-        self.registry.inc("pbox.created")
-        self.registry.gauge("pbox.live").add(1)
+        def on_futex_wake(_name, _t, fields):
+            nonlocal wakes, woken
+            if wakes is None:
+                wakes = registry.counter("futex.wakes")
+                woken = registry.counter("futex.woken")
+            wakes.value += 1
+            woken.value += len(fields["woken"])
 
-    def _on_pbox_release(self, _name, _t, _f):
-        self.registry.gauge("pbox.live").add(-1)
+        throttled = None
 
-    def _on_pbox_event(self, _name, _t, fields):
-        self.registry.inc("pbox.events.%s" % fields["event"].value)
+        def on_unthrottle(_name, now, fields):
+            nonlocal throttled
+            for tid in fields["tids"]:
+                waited = wait_since.pop(tid, None)
+                if waited is not None:
+                    if throttled is None:
+                        throttled = registry.histogram("cgroup.throttled_us")
+                    throttled.record(now - waited[1])
 
-    def _on_detect(self, _name, _t, _f):
-        self.registry.inc("pbox.detections")
+        created = live = None
 
-    def _on_action(self, _name, _t, fields):
-        self.registry.inc("pbox.actions")
-        self.registry.histogram("pbox.penalty_length_us").record(
-            fields["length_us"]
-        )
+        def on_pbox_create(_name, _t, _f):
+            nonlocal created, live
+            if created is None:
+                created = registry.counter("pbox.created")
+            created.value += 1
+            if live is None:
+                live = registry.gauge("pbox.live")
+            live.add(1)
 
-    def _on_penalty(self, _name, _t, fields):
-        self.registry.inc("pbox.penalties_served")
-        self.registry.histogram("pbox.penalty_served_us").record(
-            fields["delay_us"]
-        )
+        def on_pbox_release(_name, _t, _f):
+            nonlocal live
+            if live is None:
+                live = registry.gauge("pbox.live")
+            live.add(-1)
 
-    def _on_freeze(self, _name, _t, fields):
-        if "defer_us" in fields:
-            self.registry.histogram("pbox.activity_defer_us").record(
-                fields["defer_us"]
-            )
-            self.registry.histogram("pbox.activity_exec_us").record(
-                fields["exec_us"]
-            )
+        event_counters = {}   # state event value -> Counter
 
-    def _on_pool_enqueue(self, _name, _t, fields):
-        self.registry.inc("pool.enqueued")
-        depth = fields.get("depth")
-        if depth is not None:
-            self.registry.gauge("pool.queue_depth").set(depth)
+        def on_pbox_event(_name, _t, fields):
+            value = fields["event"]._value_
+            counter = event_counters.get(value)
+            if counter is None:
+                counter = event_counters[value] = registry.counter(
+                    "pbox.events.%s" % value)
+            counter.value += 1
 
-    def _on_pool_dispatch(self, _name, _t, fields):
-        self.registry.inc("pool.dispatched")
-        self.registry.histogram("pool.queue_delay_us").record(
-            fields["queued_us"]
-        )
+        defer = run = None
 
-    def _on_app_note(self, _name, _t, fields):
-        self.registry.inc("app.%s" % fields["what"])
+        def on_freeze(_name, _t, fields):
+            nonlocal defer, run
+            if "defer_us" in fields:
+                if defer is None:
+                    defer = registry.histogram("pbox.activity_defer_us")
+                    run = registry.histogram("pbox.activity_exec_us")
+                defer.record(fields["defer_us"])
+                run.record(fields["exec_us"])
+
+        enqueued = queue_depth = None
+
+        def on_pool_enqueue(_name, _t, fields):
+            nonlocal enqueued, queue_depth
+            if enqueued is None:
+                enqueued = registry.counter("pool.enqueued")
+            enqueued.value += 1
+            depth = fields.get("depth")
+            if depth is not None:
+                if queue_depth is None:
+                    queue_depth = registry.gauge("pool.queue_depth")
+                queue_depth.set(depth)
+
+        return {
+            "sched.switch": counting("sched.context_switches"),
+            "sched.enqueue": on_enqueue,
+            "sched.sleep": on_sleep,
+            "futex.wait": counted_wait("futex.waits", "futex.wait"),
+            "futex.wake": on_futex_wake,
+            "cgroup.throttle": counted_wait("cgroup.throttles",
+                                            "cgroup.throttled"),
+            "cgroup.unthrottle": on_unthrottle,
+            "penalty.inject": counting_recording(
+                "penalty.injections", "penalty.injected_us", "delay_us"),
+            "pbox.create": on_pbox_create,
+            "pbox.release": on_pbox_release,
+            "pbox.event": on_pbox_event,
+            "pbox.detect": counting("pbox.detections"),
+            "pbox.action": counting_recording(
+                "pbox.actions", "pbox.penalty_length_us", "length_us"),
+            "pbox.penalty": counting_recording(
+                "pbox.penalties_served", "pbox.penalty_served_us",
+                "delay_us"),
+            "pbox.freeze": on_freeze,
+            "pool.enqueue": on_pool_enqueue,
+            "pool.dispatch": counting_recording(
+                "pool.dispatched", "pool.queue_delay_us", "queued_us"),
+            "app.note": counted_by("app.%s", "what"),
+        }

@@ -16,6 +16,7 @@ All timestamps are virtual microseconds, which maps 1:1 onto the
 Chrome trace-event ``ts`` field (see :mod:`repro.obs.export`).
 """
 
+from repro.core.events import ENTER, HOLD, PREPARE, UNHOLD
 from repro.obs.tracepoints import key_label
 
 #: Track kinds; the exporter maps these to Chrome pids.
@@ -34,7 +35,8 @@ class SpanRecorder:
         than silently dropping the tail.
     record_slices:
         Record every CPU slice as a span.  Slices dominate event volume
-        on long runs; disable to keep only waits/pBox activity.
+        on long runs; disable to keep only waits/pBox activity.  Read
+        when the recorder attaches.
     """
 
     def __init__(self, max_events=500_000, record_slices=True):
@@ -47,6 +49,7 @@ class SpanRecorder:
         self.thread_names = {}
         self.pbox_ids = set()
         self.truncated = False
+        self._room = max_events  # primitives that still fit under the cap
         self._bus = None
         self._open = {}        # (track, tid, slot) -> (name, cat, start, args)
         self._seen_flows = set()
@@ -55,10 +58,8 @@ class SpanRecorder:
 
     def attach(self, bus):
         """Subscribe to every tracepoint this recorder understands."""
-        handlers = {
-            "sched.switch": self._on_switch,
-            "sched.switchout": self._on_switchout,
-            "sched.enqueue": self._on_enqueue,
+        handlers = self._make_handlers()
+        handlers.update({
             "sched.sleep": self._on_sleep,
             "futex.wait": self._on_futex_wait,
             "cgroup.throttle": self._on_throttle,
@@ -67,7 +68,6 @@ class SpanRecorder:
             "pbox.create": self._on_pbox_create,
             "pbox.activate": self._on_activate,
             "pbox.freeze": self._on_freeze,
-            "pbox.event": self._on_pbox_event,
             "pbox.detect": self._on_detect,
             "pbox.action": self._on_action,
             "pbox.penalty": self._on_penalty,
@@ -77,7 +77,7 @@ class SpanRecorder:
             "req.end": self._on_req_end,
             "req.serve": self._on_req_serve,
             "req.done": self._on_req_done,
-        }
+        })
         self._handlers = handlers
         for name, handler in handlers.items():
             bus.subscribe(name, handler)
@@ -100,22 +100,27 @@ class SpanRecorder:
 
     # -- primitive emission ----------------------------------------------
 
-    def _full(self):
-        if self.event_count >= self.max_events:
-            self.truncated = True
+    def _take(self):
+        """Claim room for one primitive; False, and truncated, when full.
+
+        ``_room`` is ``max_events`` less ``event_count``: every append
+        to the four lists claims its slot here or, in the handlers of
+        :meth:`_make_handlers`, inline.
+        """
+        if self._room > 0:
+            self._room -= 1
             return True
+        self.truncated = True
         return False
 
     def _span(self, track, tid, name, cat, start, end, args=None):
-        if self._full():
-            return
-        self.spans.append((track, tid, name, cat, start,
-                           max(0, end - start), args))
+        if self._take():
+            self.spans.append((track, tid, name, cat, start,
+                               max(0, end - start), args))
 
     def _instant(self, track, tid, name, cat, ts, args=None):
-        if self._full():
-            return
-        self.instants.append((track, tid, name, cat, ts, args))
+        if self._take():
+            self.instants.append((track, tid, name, cat, ts, args))
 
     def _open_span(self, track, tid, slot, name, cat, start, args=None):
         self._open[(track, tid, slot)] = (name, cat, start, args)
@@ -127,25 +132,85 @@ class SpanRecorder:
         name, cat, start, args = opened
         self._span(track, tid, name, cat, start, end, args)
 
-    def _close_wait(self, tid, end):
-        for slot in ("wait",):
-            self._close_span(THREAD_TRACK, tid, slot, end)
+    # -- high-volume handlers ----------------------------------------------
+
+    def _make_handlers(self):
+        """Build the handlers of the points that fire per event.
+
+        Context switches and state events are most of what the recorder
+        sees, so these handlers open and close their spans inline and
+        dispatch the state event by identity.  They bind the containers
+        once per attach (clear them in place, never rebind them), and a
+        closed span claims its slot from ``_room`` as :meth:`_take`
+        does.
+        """
+        opened = self._open
+        pop = opened.pop
+        append = self.spans.append
+        thread_names = self.thread_names
+        add_pbox = self.pbox_ids.add
+        record_slices = self.record_slices
+
+        def on_switch(_name, now, fields):
+            tid = fields["tid"]
+            if tid not in thread_names:
+                thread_names[tid] = fields.get("name") or "thread-%d" % tid
+            if record_slices:
+                opened[(THREAD_TRACK, tid, "run")] = (
+                    "running", "sched", now, {"core": fields.get("core")})
+
+        def on_close(slot):
+            def close(_name, now, fields):
+                tid = fields["tid"]
+                span = pop((THREAD_TRACK, tid, slot), None)
+                if span is None:
+                    return
+                if self._room > 0:
+                    self._room -= 1
+                    name, cat, start, args = span
+                    append((THREAD_TRACK, tid, name, cat, start,
+                            now - start if now > start else 0, args))
+                else:
+                    self.truncated = True
+            return close
+
+        def on_pbox_event(_name, now, fields):
+            psid = fields["pbox"].psid
+            add_pbox(psid)
+            event = fields["event"]
+            label = key_label(fields.get("key"))
+            if event is PREPARE:
+                opened[(PBOX_TRACK, psid, ("defer", label))] = (
+                    "defer:%s" % label, "vres", now, None)
+                return
+            if event is HOLD:
+                opened[(PBOX_TRACK, psid, ("hold", label))] = (
+                    "hold:%s" % label, "vres", now, None)
+                return
+            if event is ENTER:
+                span = pop((PBOX_TRACK, psid, ("defer", label)), None)
+            elif event is UNHOLD:
+                span = pop((PBOX_TRACK, psid, ("hold", label)), None)
+            else:
+                return
+            if span is None:
+                return
+            if self._room > 0:
+                self._room -= 1
+                name, cat, start, args = span
+                append((PBOX_TRACK, psid, name, cat, start,
+                        now - start if now > start else 0, args))
+            else:
+                self.truncated = True
+
+        return {
+            "sched.switch": on_switch,
+            "sched.switchout": on_close("run"),
+            "sched.enqueue": on_close("wait"),
+            "pbox.event": on_pbox_event,
+        }
 
     # -- scheduler / kernel ----------------------------------------------
-
-    def _on_switch(self, _name, now, fields):
-        tid = fields["tid"]
-        self.thread_names.setdefault(tid, fields.get("name") or
-                                     "thread-%d" % tid)
-        if self.record_slices:
-            self._open_span(THREAD_TRACK, tid, "run", "running", "sched",
-                            now, {"core": fields.get("core")})
-
-    def _on_switchout(self, _name, now, fields):
-        self._close_span(THREAD_TRACK, fields["tid"], "run", now)
-
-    def _on_enqueue(self, _name, now, fields):
-        self._close_wait(fields["tid"], now)
 
     def _on_sleep(self, _name, now, fields):
         self._open_span(THREAD_TRACK, fields["tid"], "wait", "sleep",
@@ -162,7 +227,7 @@ class SpanRecorder:
 
     def _on_unthrottle(self, _name, now, fields):
         for tid in fields["tids"]:
-            self._close_wait(tid, now)
+            self._close_span(THREAD_TRACK, tid, "wait", now)
 
     def _on_penalty_inject(self, _name, now, fields):
         self._span(THREAD_TRACK, fields["tid"], "pbox penalty", "penalty",
@@ -190,30 +255,13 @@ class SpanRecorder:
         name, cat, start, _ = opened
         self._span(PBOX_TRACK, psid, name, cat, start, now, args)
 
-    def _on_pbox_event(self, _name, now, fields):
-        pbox = fields["pbox"]
-        psid = pbox.psid
-        self.pbox_ids.add(psid)
-        event = fields["event"].value
-        label = key_label(fields.get("key"))
-        if event == "prepare":
-            self._open_span(PBOX_TRACK, psid, ("defer", label),
-                            "defer:%s" % label, "vres", now)
-        elif event == "enter":
-            self._close_span(PBOX_TRACK, psid, ("defer", label), now)
-        elif event == "hold":
-            self._open_span(PBOX_TRACK, psid, ("hold", label),
-                            "hold:%s" % label, "vres", now)
-        elif event == "unhold":
-            self._close_span(PBOX_TRACK, psid, ("hold", label), now)
-
     def _on_detect(self, _name, now, fields):
         noisy = fields["noisy"]
         victim = fields["victim"]
         args = {"victim": victim.psid, "key": key_label(fields.get("key"))}
         self._instant(PBOX_TRACK, noisy.psid, "detect", "pbox", now, args)
         flow = fields.get("flow")
-        if flow is not None and not self._full():
+        if flow is not None and self._take():
             self.flow_starts.append((PBOX_TRACK, noisy.psid, flow, now))
             self._seen_flows.add(flow)
 
@@ -231,9 +279,8 @@ class SpanRecorder:
         self._span(PBOX_TRACK, psid, "penalty", "penalty", now,
                    now + delay, {"mode": fields.get("mode")})
         flow = fields.get("flow")
-        if flow is not None and flow in self._seen_flows:
-            if not self._full():
-                self.flow_ends.append((PBOX_TRACK, psid, flow, now))
+        if flow is not None and flow in self._seen_flows and self._take():
+            self.flow_ends.append((PBOX_TRACK, psid, flow, now))
 
     # -- event-driven pools ----------------------------------------------
 
@@ -259,7 +306,7 @@ class SpanRecorder:
         # Flow start: paired with the worker-side req.serve when the
         # request runs on an event-driven pool (dedicated-thread
         # requests stay unpaired and are filtered by the exporter).
-        if not self._full():
+        if self._take():
             self.flow_starts.append((THREAD_TRACK, tid, "req-%d" % rid, now))
 
     def _on_req_end(self, _name, now, fields):
@@ -272,7 +319,7 @@ class SpanRecorder:
                         "serve %d" % rid, "req", now,
                         {"rid": rid, "pool": fields.get("pool"),
                          "queued_us": fields.get("queued_us")})
-        if not self._full():
+        if self._take():
             self.flow_ends.append((THREAD_TRACK, tid, "req-%d" % rid, now))
 
     def _on_req_done(self, _name, now, fields):

@@ -203,9 +203,16 @@ class TelemetryPipeline:
             self._win_bad += 1
 
     # -- bus handlers ----------------------------------------------------
+    #
+    # The per-event handlers do _roll's work inline up to the window
+    # test: they keep _last_now and call _roll only when ``now`` reaches
+    # the end of the current window, which most events do not.
 
     def _on_enqueue(self, _name, now, fields):
-        self._roll(now)
+        if now > self._last_now:
+            self._last_now = now
+        if now >= self._window_end:
+            self._roll(now)
         tid = fields["tid"]
         if tid not in self._tid_tenant:
             self._tid_tenant[tid] = tenant_of(fields.get("name"))
@@ -216,7 +223,10 @@ class TelemetryPipeline:
                 self._tenant(tenant).wait.record(now - start)
 
     def _on_futex_wait(self, _name, now, fields):
-        self._roll(now)
+        if now > self._last_now:
+            self._last_now = now
+        if now >= self._window_end:
+            self._roll(now)
         self._wait_since[fields["tid"]] = now
 
     def _on_pbox_create(self, _name, now, fields):
@@ -228,7 +238,10 @@ class TelemetryPipeline:
             self._tid_tenant.setdefault(fields["tid"], tenant)
 
     def _on_pbox_event(self, _name, now, fields):
-        self._roll(now)
+        if now > self._last_now:
+            self._last_now = now
+        if now >= self._window_end:
+            self._roll(now)
         self._win_events += 1
         psid = getattr(fields.get("pbox"), "psid", None)
         if psid is not None:

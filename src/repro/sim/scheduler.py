@@ -39,7 +39,7 @@ from heapq import heapify, heappop, heappush
 from itertools import count
 from operator import itemgetter
 
-from repro.sim.thread import ThreadState
+from repro.sim.thread import READY
 
 DEFAULT_QUANTUM_US = 1_000
 
@@ -125,12 +125,12 @@ class RunQueue(SchedPolicy):
 
     def push(self, thread):
         """Append a READY thread."""
-        thread.state = ThreadState.READY
+        thread.state = READY
         self._queue.append(thread)
 
     def push_front(self, thread):
         """Prepend a READY thread (used when a slice is handed back)."""
-        thread.state = ThreadState.READY
+        thread.state = READY
         self._queue.appendleft(thread)
 
     def pick_for_core(self, core):
@@ -242,7 +242,7 @@ class EevdfRunQueue(SchedPolicy):
         self.vtime_us = 0
 
     def _enter(self, thread):
-        thread.state = ThreadState.READY
+        thread.state = READY
         if thread.vruntime_us < self.vtime_us:
             # place_entity: a thread that slept (or was just born)
             # re-enters at the virtual clock instead of cashing in the

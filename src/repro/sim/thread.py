@@ -23,6 +23,15 @@ class ThreadState(enum.Enum):
     EXITED = "exited"
 
 
+#: The members as module names, the same objects.  Hot paths compare
+#: and assign through these: on CPython 3.11 ``EnumType`` defines
+#: ``__getattr__``, which sends every attribute load off an Enum class
+#: down the slow generic path, so ``ThreadState.READY`` costs ~100 ns
+#: more than a global load (docs/PERFORMANCE.md, "Enum members on the
+#: hot path").
+NEW, READY, RUNNING, BLOCKED, SLEEPING, THROTTLED, EXITED = ThreadState
+
+
 _ids = itertools.count(1)
 
 
@@ -58,7 +67,7 @@ class SimThread:
         if not hasattr(body, "send"):
             raise TypeError("thread body must be a generator")
         self.body = body
-        self.state = ThreadState.NEW
+        self.state = NEW
         self.cgroup = cgroup
         self.affinity = affinity
         self.return_value = None
@@ -96,7 +105,7 @@ class SimThread:
     @property
     def alive(self):
         """True until the thread body returns or raises StopIteration."""
-        return self.state is not ThreadState.EXITED
+        return self.state is not EXITED
 
     def __repr__(self):
         return "SimThread(tid=%d, name=%r, state=%s)" % (
