@@ -10,13 +10,17 @@ on identical scenario specs.
 
 Only the scheduling internals are rebound -- syscall execution, thread
 lifecycle, tracepoints, and the cgroup model are the shared,
-unmodified code paths.
+unmodified code paths.  One piece of scheduling state leaks into them:
+the shared ``_enqueue`` calls ``_dispatch`` only while ``_idle_mask``
+is non-zero, and the legacy paths never maintain that mask, so
+``bind_legacy`` pins it non-zero.
 """
 
+import functools
 import heapq
 import types
 
-from repro.sim.kernel import _Timer
+from repro.sim.kernel import _BLOCKED, _Timer
 from repro.sim.thread import ThreadState
 
 
@@ -123,7 +127,20 @@ def _legacy_slice_end(self, core):
         self._dispatch()
         return
     self._dispatch()
-    self._resume(thread)
+    _legacy_resume(self, thread)
+
+
+def _legacy_resume(self, thread):
+    """Continue a thread whose CPU slice / wait completed."""
+    if thread._pending_syscall is not None:
+        syscall = thread._pending_syscall
+        thread._pending_syscall = None
+        result = self._execute(thread, syscall)
+        if result is _BLOCKED:
+            return
+        self._advance(thread, result)
+    else:
+        self._advance(thread, thread._resume_value)
 
 
 def _legacy_attribute_blame(self, waiter, key, defer_us):
@@ -150,8 +167,15 @@ def bind_legacy(kernel, manager=None):
     kernel._dispatch = types.MethodType(_legacy_dispatch, kernel)
     kernel._start_slice = types.MethodType(_legacy_start_slice, kernel)
     kernel._slice_end = types.MethodType(_legacy_slice_end, kernel)
-    # core._slice_timer closures call self._slice_end dynamically, so
-    # the existing per-core timers dispatch to the legacy version.
+    # Each core's reusable slice timer holds the slice end the kernel
+    # resolved at construction; point it at the legacy one.
+    for core in kernel.cores:
+        core._slice_timer.fn = functools.partial(kernel._slice_end, core)
+    # The legacy dispatch and slice paths never touch _idle_mask, and
+    # the shared _enqueue skips _dispatch while it is zero.  Pin it to
+    # "every core idle" so every enqueue dispatches, as the old code
+    # did, even if cores were already filled when this runs.
+    kernel._idle_mask = (1 << len(kernel.cores)) - 1
     if manager is not None:
         if hasattr(manager, "add_shard_patch"):
             # Sharded facade: shards are created lazily after this

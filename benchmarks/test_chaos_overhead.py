@@ -106,7 +106,8 @@ def _guard_cost_ns(loops=2_000_000):
         pass
     empty = time.perf_counter() - start
     assert sink == 0
-    return max(0.0, (guarded - empty) / loops * 1e9)
+    # Unclamped: noise can make it negative, and it is reported so.
+    return (guarded - empty) / loops * 1e9
 
 
 def test_faults_disabled_overhead_within_budget(benchmark):

@@ -11,6 +11,9 @@ rather than described:
    A/B: ``bind_legacy`` rebinds one kernel instance's hot paths to
    verbatim ports of the old code, and both kernels execute the
    bit-identical scenario (same spec, same seed, same event count).
+   The legacy side is checked to end its slices through the legacy
+   slice end and to keep dispatching after every enqueue, so a kernel
+   change cannot quietly run on both sides.
 2. **manager detection cost** -- the manager's per-event cost must not
    grow linearly with the pBox population: going 1,000 -> 10,000
    threads (100 -> 1,000 pBoxes) may at most triple the per-event
@@ -45,7 +48,7 @@ import time
 import pytest
 
 from _common import once
-from _legacy_kernel import bind_legacy
+from _legacy_kernel import _legacy_slice_end, bind_legacy
 
 from repro.scale.scenario import (
     EXTENDED_APP_KINDS,
@@ -108,6 +111,27 @@ def _timed_run(spec, kernel_binder=None):
     return wall_s, events, kernel
 
 
+def _assert_legacy_side(kernel):
+    """A legacy-bound kernel must stay on the legacy scheduling paths.
+
+    The kernel resolves its slice end once, when it is constructed, so
+    the legacy binding has to re-point every core's timer at
+    ``_legacy_slice_end`` itself.  And the shared ``_enqueue``
+    dispatches only while ``_idle_mask`` is non-zero, which the legacy
+    paths never maintain: it must still read "every core idle" after
+    the run.
+    """
+    for core in kernel.cores:
+        fn = core._slice_timer.fn
+        assert fn.func.__func__ is _legacy_slice_end, (
+            "core %d's slice timer calls %r, not the legacy slice end"
+            % (core.index, fn.func))
+        assert fn.args == (core,)
+    assert kernel._idle_mask == (1 << len(kernel.cores)) - 1, (
+        "idle mask %#x changed under the legacy binding"
+        % kernel._idle_mask)
+
+
 def _ab_throughput(threads, rounds=2):
     """Interleaved new/legacy runs; min wall per variant (noise floor)."""
     spec = ScaleSpec(threads, seed=1, manager_enabled=True,
@@ -117,8 +141,9 @@ def _ab_throughput(threads, rounds=2):
     for _ in range(rounds):
         wall, new_events, _kernel = _timed_run(spec)
         new_walls.append(wall)
-        wall, legacy_events, _kernel = _timed_run(
+        wall, legacy_events, kernel = _timed_run(
             spec, kernel_binder=lambda k, m: bind_legacy(k, m))
+        _assert_legacy_side(kernel)
         legacy_walls.append(wall)
     assert new_events == legacy_events, (
         "A/B kernels diverged: %d vs %d events -- the legacy binding is "

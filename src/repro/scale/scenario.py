@@ -295,7 +295,7 @@ def _request_factory(kind, tenant_index, rng, noisy=False):
     return make
 
 
-def _cv_waiter_body(key):
+def _cv_waiter_body(wait, compute):
     """An event-loop worker parked on its tenant's condition key.
 
     Each broadcast wakes the whole pool at once -- the wake-all path
@@ -304,27 +304,32 @@ def _cv_waiter_body(key):
     notifier stops broadcasting at the horizon the waiter simply stays
     blocked, exactly like a real event-loop thread with nothing to do
     (``run`` with a deadline leaves blocked threads parked).
+
+    ``wait`` (the tenant's ``FutexWait``) and ``compute`` are yielded
+    on every iteration.  The kernel never mutates a syscall object, so
+    the whole pool shares them instead of allocating two per wake-up.
+    The worker is the generator itself, not a closure that makes one:
+    at 10k threads the per-waiter function and its cells cost ~2 MB.
     """
-
-    def body():
-        while True:
-            yield FutexWait(key)
-            yield Compute(us=150)
-
-    return body
+    while True:
+        yield wait
+        yield compute
 
 
 def _cv_notifier_body(key, rng, stop_us, period_us=1_000):
     """The tenant's dispatcher: periodically broadcasts to its pool."""
+    now_call = Now()
+    broadcast = FutexWake(key, n=1_000_000)  # wake-all
+    pause = Sleep(us=period_us)
 
     def body():
         yield Sleep(us=rng.randint(0, period_us))
         while True:
-            now = yield Now()
+            now = yield now_call
             if now >= stop_us:
                 break
-            yield FutexWake(key, n=1_000_000)  # wake-all broadcast
-            yield Sleep(us=period_us)
+            yield broadcast
+            yield pause
 
     return body
 
@@ -374,6 +379,8 @@ def build_scale_scenario(spec, kernel_binder=None, telemetry=None):
     scenario.telemetry = telemetry
     stop_us = spec.duration_us
     families = getattr(spec, "families", APP_KINDS)
+    # Every cv waiter's slice of work, one object for all of them.
+    cv_compute = Compute(us=150)
     for tenant in range(spec.tenants):
         kind = families[tenant % len(families)]
         server = _make_server(kind, kernel, runtime)
@@ -416,7 +423,8 @@ def build_scale_scenario(spec, kernel_binder=None, telemetry=None):
         notifier_rng = kernel.rng("scale.t%d.notify" % tenant)
         kernel.spawn(_cv_notifier_body(cv_key, notifier_rng, stop_us),
                      name="t%d-notify" % tenant)
+        cv_wait = FutexWait(cv_key)
         for worker in range(spec.workers_per_tenant - 3 - pool_workers):
-            kernel.spawn(_cv_waiter_body(cv_key),
+            kernel.spawn(_cv_waiter_body(cv_wait, cv_compute),
                          name="t%d-cv%d" % (tenant, worker))
     return scenario

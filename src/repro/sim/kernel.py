@@ -47,6 +47,7 @@ to a serial sweep.
 """
 
 import itertools
+from functools import partial
 from heapq import heappop, heappush
 
 from repro.obs.tracepoints import TracepointBus
@@ -175,7 +176,8 @@ class Kernel:
     cores:
         Number of simulated CPU cores.
     quantum_us:
-        Preemption quantum for the round-robin scheduler.
+        Preemption quantum for the round-robin scheduler, in whole
+        microseconds (a fractional value is truncated).
     seed:
         Root seed for the kernel's RNG registry (handed to workloads).
     sched:
@@ -190,7 +192,7 @@ class Kernel:
             raise ValueError("need at least one core")
         self.clock = Clock()
         self.cores = [Core(i) for i in range(cores)]
-        self.quantum_us = quantum_us
+        self.quantum_us = int(quantum_us)
         self.sched = sched
         self.run_queue = make_run_queue(sched)
         self.run_queue._now = lambda: self.clock.now_us
@@ -257,9 +259,13 @@ class Kernel:
         # Hot path: each core gets one reusable slice-end timer whose
         # callback is bound once.  A core has at most one slice pending,
         # so re-arming the same _Timer every context switch saves a
-        # timer + closure allocation per switch (see _start_slice).
+        # timer allocation per switch (see _start_slice).  The timer
+        # calls _slice_end directly; it is resolved here, per kernel,
+        # so a wrapper installed on the class before construction
+        # (bench/layers.py) still sees every slice end.
+        slice_end = self._slice_end
         for core in self.cores:
-            core._slice_timer = _Timer(self._make_slice_end(core))
+            core._slice_timer = _Timer(partial(slice_end, core))
             core._mask_bit = 1 << core.index
 
     # ------------------------------------------------------------------
@@ -352,19 +358,34 @@ class Kernel:
         # wheel drains cancelled entries and enforces the limit
         # internally; entries pop in exact (when, seq) order.
         #
-        # The due-heap fast path is inlined: whenever the wheel's "due"
-        # heap is non-empty its head is the global minimum (far-level
-        # entries all live in later blocks -- see timerwheel.py), so a
-        # due event costs one C heappop with no method call or result
-        # tuple.  The slow branch (due empty: hunt to the next block,
-        # or nothing left) stays behind pop_next.
+        # The lane and due-heap fast paths are inlined.  Lane entries
+        # sit at the cursor and fire in arm order, after any due entry
+        # at the cursor (armed earlier -- see timerwheel.py).  Otherwise
+        # a non-empty "due" heap's head is the global minimum (far-level
+        # entries all live in later blocks), so a due event costs one C
+        # heappop with no method call or result tuple.  The slow branch
+        # (both empty: hunt to the next block, or nothing left) stays
+        # behind pop_next.
         clock = self.clock
         wheel = self._wheel
+        lane = wheel._lane
         due = wheel._due
         pop_next = wheel.pop_next
         limit = float("inf") if until_us is None else until_us
         while True:
-            if due:
+            if lane:
+                when = wheel._cur
+                if when > limit:
+                    break
+                if due and due[0][0] == when:
+                    entry = heappop(due)
+                else:
+                    entry = lane.popleft()
+                wheel._count -= 1
+                timer = entry[2]
+                if timer.cancelled:
+                    continue
+            elif due:
                 entry = due[0]
                 when = entry[0]
                 if when > limit:
@@ -474,15 +495,8 @@ class Kernel:
             self.run_queue.push_front(thread)
         else:
             self.run_queue.push(thread)
-        self._dispatch()
-
-    def _make_slice_end(self, core):
-        """Bind the slice-end callback for ``core`` once (timer reuse)."""
-
-        def _end():
-            self._slice_end(core)
-
-        return _end
+        if self._idle_mask:
+            self._dispatch()
 
     def _dispatch(self):
         # Sharded run-queue scan: only cores idle at entry are visited,
@@ -537,6 +551,10 @@ class Kernel:
             quantum = self.quantum_us
             pending = thread.pending_compute_us
             slice_us = quantum if quantum < pending else pending
+            # Both operands are ints here (__init__ coerces the quantum,
+            # Compute and charge_current the compute), so the end
+            # needs no int().
+            when = now + slice_us
         else:
             # Roll the bandwidth window forward before checking the
             # budget; otherwise a group that never throttles keeps
@@ -551,6 +569,8 @@ class Kernel:
             slice_us = min(self.quantum_us, thread.pending_compute_us)
             if remaining is not None:
                 slice_us = min(slice_us, remaining)
+            # Cgroup.set_quota does not coerce quotas to int.
+            when = int(now + slice_us)
         core.running = thread
         self._idle_mask &= ~core._mask_bit
         thread.state = RUNNING
@@ -560,28 +580,42 @@ class Kernel:
                                  name=thread.name, core=core.index,
                                  slice_us=slice_us)
         # Re-arm the core's reusable slice-end timer instead of going
-        # through post(): saves a _Timer + closure allocation per
-        # context switch, the hottest allocation site of the event loop.
+        # through post(): saves a _Timer allocation per context switch,
+        # the hottest allocation site of the event loop.
         timer = core._slice_timer
         timer.cancelled = False
-        when = int(now + slice_us)
         wheel = self._wheel
-        # Inlined wheel.insert() due-block fast path: most slices end
-        # inside the cursor's current 1024us block (when >= cursor holds
-        # because the cursor never runs ahead of the clock).
-        if when ^ wheel._cur < 1024:
+        cur = wheel._cur
+        # Inlined wheel.insert() fast paths (when >= cursor holds
+        # because the cursor never runs ahead of the clock): a
+        # zero-length slice armed at the cursor -- about half of all
+        # slices -- goes to the FIFO lane, and most others end inside
+        # the cursor's current 1024us block.
+        if when <= cur:
+            wheel._lane.append((cur, next(self._seq), timer))
+            wheel._count += 1
+        elif when ^ cur < 1024:
             heappush(wheel._due, (when, next(self._seq), timer))
             wheel._count += 1
         else:
             wheel.insert(when, next(self._seq), timer)
-        core.slice_end_event = timer
         core._slice_started_us = now
 
     def _slice_end(self, core):
+        """End ``core``'s slice: refill the core, then resume the thread.
+
+        The whole context switch in one pass.  When this core is the
+        only idle one -- nearly every switch on a saturated machine --
+        the refill is one ``pick_for_core`` on it: the decision
+        ``_dispatch`` would reach, without its loop or its scan of the
+        idle mask.  A preempted thread is queued before the refill, as
+        in ``_dispatch``; a finished one continues only after it, so
+        whatever it does next (wake, enqueue, exit) sees the core busy.
+        """
         thread = core.running
         core.running = None
-        self._idle_mask |= core._mask_bit
-        core.slice_end_event = None
+        bit = core._mask_bit
+        self._idle_mask |= bit
         ran = self.clock.now_us - core._slice_started_us
         if ran:
             core.busy_us += ran
@@ -600,12 +634,27 @@ class Kernel:
             self._tp_switchout.fire(self.clock.now_us, tid=thread.tid,
                                     core=core.index, ran_us=ran,
                                     done=thread.pending_compute_us <= 0)
-        if thread.pending_compute_us > 0:
-            self.run_queue.push(thread)
+        run_queue = self.run_queue
+        preempted = thread.pending_compute_us > 0
+        if preempted:
+            run_queue.push(thread)
+        if self._idle_mask == bit:
+            refill = run_queue.pick_for_core(core)
+            if refill is not None:
+                self._start_slice(core, refill)
+        else:
             self._dispatch()
+        if preempted:
             return
-        self._dispatch()
-        self._resume(thread)
+        syscall = thread._pending_syscall
+        if syscall is not None:
+            thread._pending_syscall = None
+            result = self._execute(thread, syscall)
+            if result is _BLOCKED:
+                return
+            self._advance(thread, result)
+        else:
+            self._advance(thread, thread._resume_value)
 
     def _throttle(self, thread, group):
         thread.state = THROTTLED
@@ -630,18 +679,6 @@ class Kernel:
     # Thread advancement
     # ------------------------------------------------------------------
 
-    def _resume(self, thread):
-        """Continue a thread whose CPU slice / wait completed."""
-        if thread._pending_syscall is not None:
-            syscall = thread._pending_syscall
-            thread._pending_syscall = None
-            result = self._execute(thread, syscall)
-            if result is _BLOCKED:
-                return
-            self._advance(thread, result)
-        else:
-            self._advance(thread, thread._resume_value)
-
     def _advance(self, thread, send_value):
         hooks = self.resume_hooks
         if hooks:
@@ -658,7 +695,7 @@ class Kernel:
                         )
                     thread.state = SLEEPING
                     thread.wakeup_event = self.penalty_armer.arm(
-                        self.now_us + delay,
+                        self.clock.now_us + delay,
                         lambda: self._advance(thread, send_value),
                     )
                     return
@@ -698,7 +735,7 @@ class Kernel:
         if cls is Compute:
             amount = syscall.us + thread.overhead_us
             thread.overhead_us = 0
-            self._enqueue(thread, compute_us=amount, resume_value=None)
+            self._enqueue(thread, amount, None)
             return _BLOCKED
 
         if thread.overhead_us:
@@ -726,7 +763,7 @@ class Kernel:
             return self.futex_wake(syscall.key, syscall.n)
 
         if cls is Now:
-            return self.now_us
+            return self.clock.now_us
 
         if cls is Sleep:
             thread.state = SLEEPING

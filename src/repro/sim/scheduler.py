@@ -50,7 +50,6 @@ class Core:
     def __init__(self, index):
         self.index = index
         self.running = None        # SimThread or None
-        self.slice_end_event = None
         self.busy_us = 0           # lifetime utilization accounting
         self.reserved_for = None   # tag used by the DARC baseline
         # Reusable slice-end timer (allocated once by the kernel); a core

@@ -8,12 +8,13 @@ the event loop.  The wheel bounds the comparison work to the timers of
 the current 1024 us block, making arm/fire O(1)-ish in total pending
 count.
 
-Layout -- a near-term "due" heap plus three block-aligned far levels
-and an overflow heap:
+Layout -- a zero-delay lane, a near-term "due" heap, three
+block-aligned far levels and an overflow heap:
 
 ======== ================= =================== =====================
 tier     granularity        capacity            span
 ======== ================= =================== =====================
+lane     the cursor (FIFO)  unbounded           0 us
 due      exact (heap)       current block       ~1 ms
 level 1  1024 us            1024 slots          ~1.05 s
 level 2  ~1.05 s            1024 slots          ~17.9 min
@@ -28,6 +29,14 @@ bounded population.  Further-out timers sit untouched in wheel slots
 heap-pushes them into ``due``.  Far-level occupancy is tracked in int
 bitmaps, so skipping empty time is one bit-scan per level.
 
+Timers armed *at* the cursor (``when <= cursor``, which includes the
+clamp :meth:`TimerWheel.insert` applies) skip the heap: they are
+appended to the "lane", a deque.  In the kernel these are the
+zero-length slices -- a woken thread takes a core only to run its
+post-wake code -- about half of all slices, which would otherwise each
+pay a push and a pop against a due heap of ~1,500 entries at 10k
+threads.
+
 Ordering contract (what makes the wheel a drop-in for the heap)
 ---------------------------------------------------------------
 
@@ -40,6 +49,17 @@ is placed at level L only when its time shares the cursor's level-(L+1)
 block, so a block's entries are all present in their slot before the
 cursor can enter the block and cascade them.  No entry can ever be
 filed behind the cursor.
+
+The lane keeps the same order without comparing anything.  Every due
+entry whose ``when`` equals the cursor was armed before the cursor got
+there (once it is there, arms at that time go to the lane), so its
+``seq`` is smaller than any lane entry's.  The lane is FIFO, so its
+entries are in ``seq`` order, and all of them sit at the cursor.  A
+pop therefore takes, in order: any due entry at the cursor, then the
+lane, then the rest of the due heap -- and the cursor moves past the
+lane's time only once the lane is empty.  Like the heap, the lane
+honours ``limit``: a pop whose limit lies below the cursor fires
+nothing.
 
 Cursor contract
 ---------------
@@ -55,13 +75,15 @@ kernel satisfies this by construction: timers are armed at
 always at or ahead of the cursor when user code runs.
 """
 
+from collections import deque
 from heapq import heappop, heappush
 
 _MASK = 1023
 
 
 class TimerWheel:
-    """Hybrid timer wheel: near-term heap + three far levels + overflow.
+    """Hybrid timer wheel: zero-delay lane + near-term heap + three far
+    levels + overflow.
 
     Entries are ``(when, seq, timer)`` tuples where ``timer`` carries a
     ``cancelled`` flag; cancelled entries are lazily discarded when
@@ -71,12 +93,13 @@ class TimerWheel:
     still keeps the event loop alive).
     """
 
-    __slots__ = ("_cur", "_count", "_due", "_occ1", "_occ2", "_occ3",
-                 "_slots1", "_slots2", "_slots3", "_overflow")
+    __slots__ = ("_cur", "_count", "_lane", "_due", "_occ1", "_occ2",
+                 "_occ3", "_slots1", "_slots2", "_slots3", "_overflow")
 
     def __init__(self):
         self._cur = 0
         self._count = 0
+        self._lane = deque()
         self._due = []
         self._occ1 = 0
         self._occ2 = 0
@@ -98,8 +121,9 @@ class TimerWheel:
         """Arm ``timer`` at integer microsecond ``when``."""
         self._count += 1
         cur = self._cur
-        if when < cur:
-            when = cur
+        if when <= cur:
+            self._lane.append((cur, seq, timer))
+            return
         delta = when ^ cur  # block-sharing test: same 2^k block <=> xor < 2^k
         if delta < 1024:
             heappush(self._due, (when, seq, timer))
@@ -138,7 +162,23 @@ class TimerWheel:
         never advanced past ``limit``.
         """
         due = self._due
+        lane = self._lane
         while True:
+            if lane:
+                # Due entries at the cursor were armed before it got
+                # there, so they precede the lane (module docstring).
+                when = self._cur
+                if when > limit:
+                    return None
+                if due and due[0][0] == when:
+                    entry = heappop(due)
+                else:
+                    entry = lane.popleft()
+                self._count -= 1
+                timer = entry[2]
+                if timer.cancelled:
+                    continue
+                return when, timer
             while due:
                 entry = due[0]
                 when = entry[0]
@@ -268,7 +308,7 @@ class TimerWheel:
         still walk identically.
         """
         entries = []
-        for heap in (self._due, self._overflow):
+        for heap in (self._lane, self._due, self._overflow):
             entries.extend((when, seq) for when, seq, timer in heap
                            if not timer.cancelled)
         for slots, occ in ((self._slots1, self._occ1),
@@ -285,7 +325,8 @@ class TimerWheel:
 
     def pending(self):
         """Snapshot of all pending ``(when, timer)`` entries (tests)."""
-        entries = [(when, timer) for when, _seq, timer in self._due]
+        entries = [(when, timer) for when, _seq, timer in self._lane]
+        entries.extend((when, timer) for when, _seq, timer in self._due)
         for slots, occ in ((self._slots1, self._occ1),
                            (self._slots2, self._occ2),
                            (self._slots3, self._occ3)):

@@ -62,6 +62,8 @@ def closed_loop_client(kernel, connection, request_factory, recorder,
     tp_begin = kernel.trace.point("req.begin")
     tp_end = kernel.trace.point("req.end")
     active_requests = kernel.active_requests
+    # Syscall objects are never mutated, so one Now() serves every read.
+    now_call = Now()
 
     def body():
         if start_us:
@@ -70,11 +72,11 @@ def closed_loop_client(kernel, connection, request_factory, recorder,
         tid = kernel.current_thread.tid
         who = tenant if tenant is not None else kernel.current_thread.name
         while True:
-            now = yield Now()
+            now = yield now_call
             if now >= stop_us:
                 break
             request = request_factory()
-            began = yield Now()
+            began = yield now_call
             # A penalty- or fault-deferred resume delivers a stale send
             # value: the clock may have advanced before this generator
             # actually regained control.  The recorder keeps the
@@ -96,7 +98,7 @@ def closed_loop_client(kernel, connection, request_factory, recorder,
             if policy is not None:
                 yield from policy.before_request(policy_ctx, request)
             yield from connection.execute(request)
-            finished = yield Now()
+            finished = yield now_call
             end_fired = kernel.now_us
             active_requests.pop(tid, None)
             if tp_end.active:

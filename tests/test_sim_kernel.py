@@ -89,6 +89,25 @@ def test_round_robin_interleaves_threads():
     assert abs(finish["a"] - finish["b"]) <= 1_000
 
 
+def test_fractional_quantum_is_truncated():
+    """A fractional quantum runs as its whole-microsecond part."""
+
+    def finishes(quantum_us):
+        kernel = Kernel(cores=1, quantum_us=quantum_us)
+        finish = {}
+
+        def body(name):
+            yield Compute(us=3_000)
+            finish[name] = yield Now()
+
+        kernel.spawn(lambda: body("a"))
+        kernel.spawn(lambda: body("b"))
+        kernel.run()
+        return finish
+
+    assert finishes(999.5) == finishes(999)
+
+
 def test_futex_wait_and_wake():
     kernel = Kernel(cores=2)
     key = object()

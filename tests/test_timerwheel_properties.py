@@ -11,13 +11,19 @@ three far levels, or the overflow heap) an entry cascades through.
 The operation stream mirrors how the kernel drives the wheel: pops use
 a monotone ``limit`` (the run horizon), a ``None`` pop advances virtual
 time to the limit, and no arm ever targets the past (the kernel clamps
-``post()`` to ``now``).
+``post()`` to ``now``).  Three more operations aim at the zero-delay
+lane, which holds every timer armed at the wheel's cursor: arms
+exactly at the cursor right after a pop returned an entry (the kernel's
+zero-length slices), arms below the cursor (which the wheel clamps to
+it), and pops whose limit lies below the cursor (which fire nothing).
+After every operation the wheel's ``snapshot_entries()`` must equal
+the model's live ``(when, seq)`` pairs.
 """
 
 import heapq
 import itertools
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim.timerwheel import TimerWheel
 
@@ -44,9 +50,17 @@ _DELTAS = st.one_of(
 
 _OPS = st.lists(
     st.one_of(
-        st.tuples(st.just("arm"), _DELTAS),
+        # Arm one to three timers at now + delta: same-time entries are
+        # what the lane must not overtake once the cursor reaches them.
+        st.tuples(st.just("arm"), st.tuples(_DELTAS, st.integers(1, 3))),
         st.tuples(st.just("cancel"), st.integers(0, 10 ** 6)),
         st.tuples(st.just("pop"), st.integers(0, 1 << 22)),
+        # Pop one entry (limit now + delta); if one fired, arm n timers
+        # at its time, which is where the cursor now stands.
+        st.tuples(st.just("pop_arm_at_cursor"),
+                  st.tuples(st.integers(0, 1 << 12), st.integers(1, 4))),
+        st.tuples(st.just("arm_below_cursor"), st.integers(1, 1 << 12)),
+        st.tuples(st.just("pop_below_cursor"), st.integers(1, 1 << 12)),
     ),
     max_size=120,
 )
@@ -81,23 +95,46 @@ def _drain(wheel, model, limit, now):
         fired.append(actual)
 
 
+def _live(model):
+    """The model's live ``(when, seq)`` pairs in firing order."""
+    return sorted((when, seq) for when, seq, timer in model
+                  if not timer.cancelled)
+
+
 @settings(max_examples=120, deadline=None)
 @given(ops=_OPS)
+# The lane's three obligations, each as the shortest stream that needs
+# it: a due entry at the cursor fires before the lane; a limit below
+# the cursor fires nothing from the lane; the snapshot walks the lane.
+@example(ops=[("arm", (5, 2)), ("pop_arm_at_cursor", (5, 1)), ("pop", 0)])
+@example(ops=[("arm", (5, 1)), ("pop_arm_at_cursor", (5, 2)),
+              ("arm_below_cursor", 3), ("pop_below_cursor", 1)])
+@example(ops=[("arm", (0, 1))])
 def test_wheel_matches_heap_model(ops):
     wheel = TimerWheel()
     model = []  # heap of (when, seq, timer)
     armed = []  # every timer ever armed, for the cancel op + final audit
     seq = itertools.count()
     now = 0
+    # The wheel's cursor while the model knows it: it starts at 0 and
+    # stands at every popped entry's time.  A pop that returns None may
+    # leave it anywhere up to its limit, so it is unknown (None) until
+    # the next pop returns an entry.
+    cursor = 0
     name = itertools.count()
+
+    def arm(when, clamped):
+        timer = _FakeTimer(next(name))
+        tick = next(seq)
+        heapq.heappush(model, (clamped, tick, timer))
+        wheel.insert(when, tick, timer)
+        armed.append((clamped, timer))
 
     for op, value in ops:
         if op == "arm":
-            timer = _FakeTimer(next(name))
-            when = now + value
-            heapq.heappush(model, (when, next(seq), timer))
-            wheel.insert(when, next(seq), timer)
-            armed.append((when, timer))
+            delta, count = value
+            for _ in range(count):
+                arm(now + delta, now + delta)
         elif op == "cancel" and armed:
             armed[value % len(armed)][1].cancelled = True
         elif op == "pop":
@@ -105,6 +142,26 @@ def test_wheel_matches_heap_model(ops):
             fired, now = _drain(wheel, model, limit, now)
             for when, timer in fired:
                 timer.cancelled = True  # mark fired; must never re-fire
+            cursor = None
+        elif op == "pop_arm_at_cursor":
+            delta, count = value
+            expected = _model_pop(model, now + delta)
+            actual = wheel.pop_next(now + delta)
+            assert actual == expected
+            if actual is None:
+                now, cursor = now + delta, None
+            else:
+                assert actual[0] >= now and not actual[1].cancelled
+                now = cursor = actual[0]
+                actual[1].cancelled = True  # fired; must never re-fire
+                for _ in range(count):
+                    arm(cursor, cursor)
+        elif op == "arm_below_cursor" and cursor is not None:
+            arm(cursor - value, cursor)
+        elif op == "pop_below_cursor" and cursor is not None:
+            assert _model_pop(model, cursor - value) is None
+            assert wheel.pop_next(cursor - value) is None
+        assert wheel.snapshot_entries() == _live(model), op
 
     # Final drain far beyond every representable entry: nothing live
     # may be lost, and order must still match the model.
