@@ -177,13 +177,6 @@ def bind_legacy(kernel, manager=None):
     # did, even if cores were already filled when this runs.
     kernel._idle_mask = (1 << len(kernel.cores)) - 1
     if manager is not None:
-        if hasattr(manager, "add_shard_patch"):
-            # Sharded facade: shards are created lazily after this
-            # binder runs, so register a patch applied to each one.
-            manager.add_shard_patch(lambda shard: setattr(
-                shard, "_attribute_blame",
-                types.MethodType(_legacy_attribute_blame, shard)))
-        else:
-            manager._attribute_blame = types.MethodType(
-                _legacy_attribute_blame, manager)
+        manager._attribute_blame = types.MethodType(
+            _legacy_attribute_blame, manager)
     return kernel

@@ -6,10 +6,11 @@ attribute load and ``is not None`` test) before popping waiters.  This
 benchmark measures that cost two ways:
 
 - **A/B on the hot path**: run the same contended simulation with the
-  shipped ``futex_wake`` versus a pre-fault variant (identical code
-  minus the hook check) bound to the kernel instance, and compare the
-  best-of-N wall clocks in-process (same interpreter, same cache state,
-  no cross-machine flakiness);
+  shipped ``futex_wake`` versus a pre-fault variant (the shipped body
+  minus the hook check), each bound to the kernel instance the same
+  way, and compare the best-of-N wall clocks in-process (same
+  interpreter, same cache state, no cross-machine flakiness).  The two
+  sides alternate within every repeat, so host drift lands on both;
 - **microbench**: the per-call cost of the disabled guard itself.
 
 The acceptance bar is the robustness PR's promise: the faults-disabled
@@ -30,16 +31,33 @@ PAIRS = 6
 
 
 def _prefault_futex_wake(self, key, n=1):
-    """``Kernel.futex_wake`` exactly as it was before the fault hook."""
+    """``Kernel.futex_wake`` as shipped, minus the ``wake_filter`` check."""
     woken = self.futexes.pop_waiters(key, n, waker=self.current_thread)
+    if not woken:
+        return 0
+    if self._idle_mask:
+        for thread in woken:
+            if thread.wakeup_event is not None:
+                thread.wakeup_event.cancel()
+                thread.wakeup_event = None
+            thread.wait_key = None
+            self._enqueue(thread, compute_us=0, resume_value=True)
+        self._dispatch()
+        return len(woken)
+    run_queue = self.run_queue
+    tp = self._tp_enqueue
+    now = self.clock.now_us
     for thread in woken:
         if thread.wakeup_event is not None:
             thread.wakeup_event.cancel()
             thread.wakeup_event = None
         thread.wait_key = None
-        self._enqueue(thread, compute_us=0, resume_value=True)
-    if woken:
-        self._dispatch()
+        thread.pending_compute_us = 0
+        thread._resume_value = True
+        if tp.active:
+            tp.fire(now, tid=thread.tid, name=thread.name)
+        run_queue.push(thread)
+    self._dispatch()
     return len(woken)
 
 
@@ -73,22 +91,33 @@ def _build_pingpong(kernel):
 
 def _timed_run(bind_prefault):
     kernel = Kernel(cores=4, seed=1)
-    if bind_prefault:
-        kernel.futex_wake = _prefault_futex_wake.__get__(kernel)
+    # Both sides bind their futex_wake on the instance, so thread
+    # bodies look it up the same way and only the bodies differ.
+    wake = _prefault_futex_wake if bind_prefault else Kernel.futex_wake
+    kernel.futex_wake = wake.__get__(kernel)
     _build_pingpong(kernel)
     start = time.perf_counter()
     kernel.run(until_us=DURATION_US)
     return time.perf_counter() - start, kernel.stats["syscalls"]
 
 
-def _best(bind_prefault):
-    best = None
-    syscalls = 0
-    for _ in range(REPEATS):
-        elapsed, syscalls = _timed_run(bind_prefault)
-        if best is None or elapsed < best:
-            best = elapsed
-    return best, syscalls
+def _best_pair():
+    """Best wall of each side over REPEATS alternating pairs.
+
+    The side that runs first swaps every repeat.  Returns
+    ``(current_s, prefault_s, syscalls)``; both sides must run the
+    identical simulation.
+    """
+    best = {}
+    syscalls = {}
+    for repeat in range(REPEATS):
+        for bind_prefault in ((False, True) if repeat % 2 == 0
+                              else (True, False)):
+            elapsed, syscalls[bind_prefault] = _timed_run(bind_prefault)
+            best[bind_prefault] = min(best.get(bind_prefault, elapsed),
+                                      elapsed)
+    assert syscalls[False] == syscalls[True], syscalls
+    return best[False], best[True], syscalls[False]
 
 
 def _guard_cost_ns(loops=2_000_000):
@@ -112,20 +141,18 @@ def _guard_cost_ns(loops=2_000_000):
 
 def test_faults_disabled_overhead_within_budget(benchmark):
     def run():
-        current_s, syscalls = _best(bind_prefault=False)
-        prefault_s, _ = _best(bind_prefault=True)
-        return current_s, prefault_s, syscalls, _guard_cost_ns()
+        return _best_pair() + (_guard_cost_ns(),)
 
     current_s, prefault_s, syscalls, guard_ns = once(benchmark, run)
     overhead = current_s / prefault_s - 1.0 if prefault_s else 0.0
 
     lines = [
-        "# Fault-machinery overhead with no faults armed (best of %d)."
+        "# Fault-machinery overhead with no faults armed (best of %d"
         % REPEATS,
-        "# 'current' is the shipped kernel; 'pre-fault' rebinds",
-        "# futex_wake without the wake_filter check on the same kernel",
-        "# class, so the delta isolates the hook cost (budget: <%d%%)."
-        % int(OVERHEAD_BUDGET * 100),
+        "# alternating pairs).  'current' is the shipped futex_wake,",
+        "# 'pre-fault' the same body without the wake_filter check, each",
+        "# bound on the kernel instance, so the delta isolates the hook",
+        "# cost (budget: <%d%%)." % int(OVERHEAD_BUDGET * 100),
         "config\twall_s\tvs_prefault\tsyscalls\tguard_ns",
         "pre-fault\t%.4f\t1.000x\t%d\t" % (prefault_s, syscalls),
         "current\t%.4f\t%.3fx\t%d\t%.2f"

@@ -21,9 +21,9 @@ rather than described:
    across the whole sweep (10 -> 1,000 pBoxes, 100x) the per-event
    cost may grow at most :data:`SWEEP_GROWTH_CEILING` x.
 3. **manager overhead fraction** -- relative overhead at the top of
-   the sweep must not exceed the bottom: with dirty-set scans,
-   per-tenant shards and batched penalty arming, a 100x bigger
-   population may not cost a larger *fraction* of the run.
+   the sweep must not exceed the bottom: with O(1) freeze-time
+   detection, the inverted holder index and batched penalty arming, a
+   100x bigger population may not cost a larger *fraction* of the run.
 4. **eevdf vs cfs** -- the configuration ``repro scale`` ships (eevdf,
    six tenant families) must keep its event throughput within
    :data:`EEVDF_RATIO_CEILING` of cfs on the identical spec at 10,000

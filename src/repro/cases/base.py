@@ -223,7 +223,7 @@ class CaseRun:
 
 def run_case(case, solution, seed=1, baseline_us=None, duration_s=None,
              penalty_engine=None, call_filter=None, isolation_level=None,
-             observer=None, driver=None, manager_factory=None, sched=None):
+             observer=None, driver=None):
     """Run ``case`` once under ``solution`` and return a :class:`CaseRun`.
 
     ``penalty_engine`` (Table 4), ``call_filter`` (Section 6.8), and
@@ -236,22 +236,14 @@ def run_case(case, solution, seed=1, baseline_us=None, duration_s=None,
     single ``kernel.run`` call and owns advancing the simulation to
     ``env.duration_us`` -- the ``repro watch`` live view uses it to
     step the kernel in window-sized increments and render between
-    steps.  ``manager_factory(kernel, enabled=..., penalty_engine=...)``
-    swaps the manager construction -- the sharded-manager equivalence
-    tests run the whole corpus through it.  ``sched`` overrides the
-    case's scheduler policy (``case.sched``, default ``"cfs"``) -- the
-    scheduler differential suite replays the corpus with the policy
-    spelled out explicitly.
+    steps.  The kernel runs the case's scheduler policy (``case.sched``,
+    default ``"cfs"``).
     """
     kernel = Kernel(cores=case.cores, seed=seed,
-                    sched=sched or getattr(case, "sched", "cfs"))
+                    sched=getattr(case, "sched", "cfs"))
     pbox_on = solution is Solution.PBOX
-    if manager_factory is not None:
-        manager = manager_factory(kernel, enabled=pbox_on,
-                                  penalty_engine=penalty_engine)
-    else:
-        manager = PBoxManager(kernel, enabled=pbox_on,
-                              penalty_engine=penalty_engine)
+    manager = PBoxManager(kernel, enabled=pbox_on,
+                          penalty_engine=penalty_engine)
     runtime = PBoxRuntime(
         manager,
         costs=OperationCosts(),

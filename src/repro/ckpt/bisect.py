@@ -20,8 +20,7 @@ from repro.obs.golden import (
 )
 
 
-def bisect_case(case_id, expected_doc, duration_s, seed,
-                manager_factory=None):
+def bisect_case(case_id, expected_doc, duration_s, seed):
     """Compare a fresh run of ``case_id`` against ``expected_doc``.
 
     Returns a JSON-safe report.  ``divergent`` False means the run
@@ -30,8 +29,7 @@ def bisect_case(case_id, expected_doc, duration_s, seed,
     first divergent checkpoint window, its event range, and the actual
     event lines of that window from a second replay.
     """
-    actual = run_golden_case(case_id, duration_s, seed,
-                             manager_factory=manager_factory)
+    actual = run_golden_case(case_id, duration_s, seed)
     window = first_divergence(expected_doc, actual)
     if window is None:
         return {
@@ -44,7 +42,7 @@ def bisect_case(case_id, expected_doc, duration_s, seed,
     start_event = window * every
     recorder = WindowRecorder(start_event, every)
     run_golden_case(
-        case_id, duration_s, seed, manager_factory=manager_factory,
+        case_id, duration_s, seed,
         observer=lambda env: recorder.attach(env.kernel.trace))
     return {
         "case_id": case_id,

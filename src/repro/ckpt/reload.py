@@ -8,8 +8,7 @@ barrier -- plus one penalty-lifetime invariant: **no penalty outlives
 the rule that armed it**.  A reload that changes a pBox's rule flushes
 that pBox's penalty machinery:
 
-- a pending (not yet delivered) delay penalty is dropped and its
-  budget reservation released;
+- a pending (not yet delivered) delay penalty is dropped;
 - an open shared-thread defer window is clamped to *now*;
 - a priority-mode demotion is lifted;
 - the heal trends and safe-mode cooldowns keyed by the pBox are
@@ -41,10 +40,9 @@ class ReloadResult:
 class RuleReloader:
     """Swap isolation rules on a live manager at a checkpoint barrier.
 
-    Works against a plain :class:`~repro.core.manager.PBoxManager` or a
-    :class:`~repro.core.shards.ShardedPBoxManager` (shards are walked
-    in sorted-key order).  ``epoch`` counts effective (non-no-op)
-    reloads; ``history`` records every call.
+    Works against a :class:`~repro.core.manager.PBoxManager`.
+    ``epoch`` counts effective (non-no-op) reloads; ``history`` records
+    every call.
     """
 
     def __init__(self, manager):
@@ -54,12 +52,6 @@ class RuleReloader:
         self._changed_at = {}   # psid -> virtual time of last rule change
 
     # -- plumbing --------------------------------------------------------
-
-    def _shards(self):
-        shards = getattr(self.manager, "_shards", None)
-        if shards is None:
-            return [self.manager]
-        return [shards[key] for key in sorted(shards)]
 
     @staticmethod
     def _rule_for(new_rule, pbox):
@@ -91,35 +83,32 @@ class RuleReloader:
         """
         if now_us is None:
             now_us = self.manager.kernel.now_us
+        pboxes = self.manager._pboxes
         changed = []
-        for shard in self._shards():
-            for psid in sorted(shard._pboxes):
-                pbox = shard._pboxes[psid]
-                rule = self._rule_for(new_rule, pbox)
-                if rule is None or rule.same_as(pbox.rule):
-                    continue
-                changed.append((shard, pbox, rule))
+        for psid in sorted(pboxes):
+            pbox = pboxes[psid]
+            rule = self._rule_for(new_rule, pbox)
+            if rule is None or rule.same_as(pbox.rule):
+                continue
+            changed.append((pbox, rule))
         if not changed:
             result = ReloadResult(self.epoch, [], True, now_us)
             self.history.append(result)
             return result
         self.epoch += 1
-        for shard, pbox, rule in changed:
+        for pbox, rule in changed:
             pbox.rule = rule
-            self._flush(shard, pbox, now_us)
+            self._flush(pbox, now_us)
             self._changed_at[pbox.psid] = now_us
         result = ReloadResult(
-            self.epoch, sorted(pbox.psid for _, pbox, _ in changed),
+            self.epoch, sorted(pbox.psid for pbox, _ in changed),
             False, now_us)
         self.history.append(result)
         return result
 
-    @staticmethod
-    def _flush(shard, pbox, now_us):
+    def _flush(self, pbox, now_us):
         """Retire every penalty armed under the pBox's previous rule."""
         if pbox.pending_penalty_us > 0:
-            if shard.penalty_budget is not None:
-                shard.penalty_budget.release(pbox.pending_penalty_us)
             pbox.pending_penalty_us = 0
             pbox.pending_penalty_flow = None
         if pbox.penalty_until_us > now_us:
@@ -130,11 +119,12 @@ class RuleReloader:
             # field (``not head.demoted_until_us``), so any non-zero
             # value keeps the thread on the slow path.
             thread.demoted_until_us = 0
-        shard._safe_until.pop(pbox.psid, None)
-        stale_pairs = [pair for pair in shard._heal_trend
+        manager = self.manager
+        manager._safe_until.pop(pbox.psid, None)
+        stale_pairs = [pair for pair in manager._heal_trend
                        if pbox.psid in pair]
         for pair in stale_pairs:
-            del shard._heal_trend[pair]
+            del manager._heal_trend[pair]
 
     # -- the invariant ---------------------------------------------------
 
@@ -147,18 +137,18 @@ class RuleReloader:
         with the current time).  Returns a list of human-readable
         violation strings -- empty means the invariant holds.
         """
+        pboxes = self.manager._pboxes
         violations = []
-        for shard in self._shards():
-            for psid in sorted(shard._pboxes):
-                changed_at = self._changed_at.get(psid)
-                if changed_at is None:
-                    continue
-                pbox = shard._pboxes[psid]
-                if pbox.pending_penalty_us > 0 \
-                        and pbox.pending_since_us < changed_at:
-                    violations.append(
-                        "pbox %d: pending penalty of %dus queued at "
-                        "t=%dus predates the rule change at t=%dus"
-                        % (psid, pbox.pending_penalty_us,
-                           pbox.pending_since_us, changed_at))
+        for psid in sorted(pboxes):
+            changed_at = self._changed_at.get(psid)
+            if changed_at is None:
+                continue
+            pbox = pboxes[psid]
+            if pbox.pending_penalty_us > 0 \
+                    and pbox.pending_since_us < changed_at:
+                violations.append(
+                    "pbox %d: pending penalty of %dus queued at "
+                    "t=%dus predates the rule change at t=%dus"
+                    % (psid, pbox.pending_penalty_us,
+                       pbox.pending_since_us, changed_at))
         return violations

@@ -31,8 +31,8 @@ def _build_harness(faults, seed, case_id):
         seed=seed, case_id=case_id)
 
 
-def _run_pbox_case(case_id, duration_s, seed, driver, harness,
-                   manager_factory, observer, digest):
+def _run_pbox_case(case_id, duration_s, seed, driver, harness, observer,
+                   digest):
     """One pBox case run with ``digest`` attached; returns the CaseRun."""
     from repro.cases import Solution, get_case, run_case
     from repro.sim.thread import reset_thread_ids
@@ -48,12 +48,12 @@ def _run_pbox_case(case_id, duration_s, seed, driver, harness,
 
     return run_case(get_case(case_id), Solution.PBOX, seed=seed,
                     duration_s=duration_s, observer=_observer,
-                    manager_factory=manager_factory, driver=driver)
+                    driver=driver)
 
 
 def checkpoint_run(case_id, duration_s=None, seed=1, cadence_us=CADENCE_US,
                    store=None, kill_at_us=None, faults=None, barriers=None,
-                   manager_factory=None, observer=None):
+                   observer=None):
     """Run ``case_id`` under pBox, checkpointing at every cadence barrier.
 
     Returns ``{"document", "run", "driver", "harness"}``; the document
@@ -77,7 +77,7 @@ def checkpoint_run(case_id, duration_s=None, seed=1, cadence_us=CADENCE_US,
                                  store=store, kill_at_us=kill_at_us,
                                  barriers=barriers)
     run = _run_pbox_case(case_id, duration_s, seed, driver, harness,
-                         manager_factory, observer, digest)
+                         observer, digest)
     return {
         "document": digest.document(stats=golden_stats(run)),
         "run": run,
@@ -114,8 +114,7 @@ def _verify_at_cut(env, checkpoint, digest):
             % (checkpoint.cut_us, located[0], located[1], located[2]))
 
 
-def resume_case(checkpoint, barriers=None, manager_factory=None,
-                observer=None):
+def resume_case(checkpoint, barriers=None, observer=None):
     """Resume a checkpointed run in this process; returns the outcome.
 
     Replays the checkpoint's spec from t=0 with the same stepped
@@ -157,7 +156,7 @@ def resume_case(checkpoint, barriers=None, manager_factory=None,
         kernel.run(until_us=duration_us)
 
     run = _run_pbox_case(case_id, spec.get("duration_s"), seed, _driver,
-                         harness, manager_factory, observer, digest)
+                         harness, observer, digest)
     if not verified:
         raise RestoreMismatch(
             "cut t=%dus is not a cadence barrier of this run "

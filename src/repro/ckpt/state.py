@@ -4,7 +4,7 @@ A *walk* is a JSON-safe, deterministically-ordered rendering of every
 piece of observable simulation state: the kernel (clock, run queues,
 timer wheel entries, futex waiters, cgroups, per-thread accounting, RNG
 stream fingerprints, penalty-armer buckets) and the complete pBox layer
-(manager or sharded facade, pBoxes, heal trends, penalty budget).
+(the manager, its pBoxes and heal trends).
 
 Walker purity rule
 ------------------
@@ -27,17 +27,17 @@ from repro.obs.golden import canonical_value
 #: Schema version of state walks (bump when any walker changes shape;
 #: stored checkpoints from other schemas must be rejected, never
 #: reinterpreted).
-STATE_SCHEMA = 1
+STATE_SCHEMA = 2
 
 
 def walk_state(kernel, manager):
     """Full canonical walk of one simulation's state.
 
-    ``manager`` may be a :class:`~repro.core.manager.PBoxManager`, a
-    :class:`~repro.core.shards.ShardedPBoxManager`, or ``None`` (a run
-    without the pBox layer).  Resource keys are rendered with the
-    golden corpus's :func:`~repro.obs.golden.canonical_value`, so walk
-    text is stable across processes exactly like trace text.
+    ``manager`` is the run's :class:`~repro.core.manager.PBoxManager`,
+    or ``None`` (a run without the pBox layer).  Resource keys are
+    rendered with the golden corpus's
+    :func:`~repro.obs.golden.canonical_value`, so walk text is stable
+    across processes exactly like trace text.
     """
     return {
         "schema": STATE_SCHEMA,

@@ -60,7 +60,7 @@ class RunSupervisor:
         self.timeout_s = timeout_s
 
     def run(self, case_id, duration_s=None, seed=1, kill_at_us=None,
-            faults=None, barriers=None, manager_factory=None):
+            faults=None, barriers=None):
         """Run one supervised job; returns the outcome dict.
 
         The outcome carries ``document`` (golden document of the
@@ -83,8 +83,7 @@ class RunSupervisor:
                             case_id, duration_s=duration_s, seed=seed,
                             cadence_us=self.cadence_us, store=self.store,
                             kill_at_us=attempt_kill, faults=faults,
-                            barriers=barriers,
-                            manager_factory=manager_factory)
+                            barriers=barriers)
                     else:
                         checkpoint = self._checkpoint_for(last_error,
                                                           case_id)
@@ -96,12 +95,10 @@ class RunSupervisor:
                                 case_id, duration_s=duration_s, seed=seed,
                                 cadence_us=self.cadence_us,
                                 store=self.store, faults=faults,
-                                barriers=barriers,
-                                manager_factory=manager_factory)
+                                barriers=barriers)
                         else:
-                            outcome = resume_case(
-                                checkpoint, barriers=barriers,
-                                manager_factory=manager_factory)
+                            outcome = resume_case(checkpoint,
+                                                  barriers=barriers)
                 break
             except (WorkerKilled, JobTimeout, RestoreMismatch) as exc:
                 last_error = exc

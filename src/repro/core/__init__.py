@@ -22,8 +22,6 @@ from repro.core.penalty import (
     PenaltyPolicy,
 )
 from repro.core.manager import PBoxManager
-from repro.core.budget import PenaltyBudget
-from repro.core.shards import ShardedPBoxManager
 from repro.core.runtime import BindFlag, OperationCosts, PBoxRuntime
 
 __all__ = [
@@ -36,10 +34,8 @@ __all__ = [
     "PBoxManager",
     "PBoxRuntime",
     "PBoxStatus",
-    "PenaltyBudget",
     "PenaltyDecision",
     "PenaltyPolicy",
     "RuleType",
-    "ShardedPBoxManager",
     "StateEvent",
 ]

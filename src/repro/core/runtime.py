@@ -199,7 +199,7 @@ class PBoxRuntime:
             self.stats["saved_syscalls"] += 1
             self._charge_ns(self.costs.library_ns)
             return
-        contended = self.manager.contended(key, pbox)
+        contended = self.manager.contended(key)
         self._charge_ns(
             self.costs.update_contended_ns if contended else self.costs.update_ns
         )

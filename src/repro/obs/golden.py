@@ -267,20 +267,16 @@ def first_divergence(expected, actual):
     return min(len(exp), len(act))
 
 
-def run_golden_case(case_id, duration_s, seed, observer=None,
-                    manager_factory=None, driver=None, sched=None):
+def run_golden_case(case_id, duration_s, seed, observer=None, driver=None):
     """Run ``case_id`` under pBox with a digest attached; returns a doc.
 
     The canonical golden parameters live with the corpus
     (``tests/golden``); this helper only fixes the solution (pBox, the
     full pipeline) and the digest wiring so the regeneration tool and
-    the test suite produce identical documents.  ``manager_factory``
-    and ``driver`` pass through to
-    :func:`~repro.cases.base.run_case` -- the sharded-manager
-    equivalence suite replays the corpus through a facade, and the
-    checkpoint layer replaces the single ``kernel.run`` call with a
-    stepped loop that pauses at barriers; both assert the digests do
-    not move.
+    the test suite produce identical documents.  ``driver`` passes
+    through to :func:`~repro.cases.base.run_case` -- the checkpoint
+    layer replaces the single ``kernel.run`` call with a stepped loop
+    that pauses at barriers, and asserts the digests do not move.
     """
     from repro.cases import Solution, get_case, run_case
     from repro.sim.thread import reset_thread_ids
@@ -298,8 +294,7 @@ def run_golden_case(case_id, duration_s, seed, observer=None,
 
     run = run_case(get_case(case_id), Solution.PBOX, seed=seed,
                    duration_s=duration_s, observer=_observer,
-                   manager_factory=manager_factory, driver=driver,
-                   sched=sched)
+                   driver=driver)
     return digest.document(stats=golden_stats(run))
 
 

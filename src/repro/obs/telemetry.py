@@ -49,7 +49,7 @@ SERIES_COLUMNS = (
     "penalties",     # pbox.penalty deliveries
     "penalty_us",    # total penalty delay delivered
     "events",        # pbox.event volume (manager pipeline pressure)
-    "active",        # active-set size (dirty pBoxes this window)
+    "active",        # active-set size (pBoxes touched this window)
     "breached",      # tenants latched in breach at window close
 )
 
@@ -136,15 +136,13 @@ class TelemetryPipeline:
     # -- attachment ------------------------------------------------------
 
     def attach(self, bus, manager=None):
-        """Subscribe to the bus; optionally bind the manager's dirty set.
+        """Subscribe to the bus; optionally bind the manager's active set.
 
-        With ``manager`` given (a :class:`~repro.core.manager.PBoxManager`
-        or the sharded facade), the per-window active-set gauge drains
-        the manager's window set (``drain_active()``) -- the same
-        psid-marking the dirty-set scan consumes, kept in a separate
-        set so the 100ms gauge drain and the detector never steal from
-        each other; without a manager, the gauge falls back to the
-        pBoxes seen in ``pbox.event`` traffic.
+        With ``manager`` given (a :class:`~repro.core.manager.PBoxManager`),
+        the per-window active-set gauge drains the manager's window set
+        (``drain_active()``: the psids touched by state events and
+        freezes); without a manager, the gauge falls back to the pBoxes
+        seen in ``pbox.event`` traffic.
         """
         handlers = {
             "sched.enqueue": self._on_enqueue,

@@ -426,13 +426,13 @@ def _load_scale_section(results_dir):
         lines.append("")
     lines.append("| threads | tenants | pBoxes | cores | virtual (ms) | "
                  "events/s | requests | manager cost/event (us) | "
-                 "manager overhead | shards | scans | budget denied |")
-    lines.append("|---|---|---|---|---|---|---|---|---|---|---|---|")
+                 "manager overhead | scans |")
+    lines.append("|---|---|---|---|---|---|---|---|---|---|")
     for point in snapshot.get("points", []):
         manager = point.get("manager", {})
         lines.append(
             "| %s | %d | %d | %d | %.0f | %s | %s | %.3f | %.1f%% "
-            "| %d | %s | %d |" % (
+            "| %s |" % (
                 "{:,}".format(point.get("threads", 0)),
                 point.get("tenants", 0),
                 point.get("pboxes", 0),
@@ -442,9 +442,7 @@ def _load_scale_section(results_dir):
                 "{:,}".format(point.get("requests", 0)),
                 manager.get("cost_per_event_us", 0.0),
                 100.0 * manager.get("overhead_frac", 0.0),
-                manager.get("shards", 0),
                 "{:,}".format(manager.get("scans", 0)),
-                manager.get("budget_denied", 0),
             ))
     family_lines = _scale_family_lines(snapshot)
     if family_lines:

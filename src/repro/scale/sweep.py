@@ -34,7 +34,9 @@ from repro.scale.scenario import ScaleSpec, build_scale_scenario
 #: three as absent (the report renders them defensively).
 #: Schema 5 adds per-point ``sched_slow_picks`` (run-queue picks that
 #: fell past the policy's head-of-queue shortcut, manager-on run).
-SCALE_SCHEMA = 5
+#: Schema 6 drops ``shards`` and ``budget_denied`` from the ``manager``
+#: section: one manager serves every tenant, with no penalty budget.
+SCALE_SCHEMA = 6
 
 #: Field glossary for SCALE.json, mirrored (both directions) by the
 #: glossary table in docs/PERFORMANCE.md -- ``tools/check_docs.py``
@@ -72,10 +74,8 @@ SCALE_FIELDS = {
     "overhead_frac": "detection_cost_s / disabled-run wall seconds",
     "detections": "pbox-level detections that found a culprit",
     "penalties_applied": "delay penalties actually delivered",
-    "shards": "per-tenant manager shards created",
-    "scans": "dirty-set scans executed across shards",
-    "scanned": "pBoxes evaluated by those scans",
-    "budget_denied": "penalty reservations denied by the shared budget",
+    "scans": "freeze-time detection passes",
+    "scanned": "pBoxes evaluated by those passes",
 }
 
 #: Per-point byte budget for the telemetry section, sized so a full
@@ -188,7 +188,6 @@ def measure_scale_point(threads, seed=1, event_budget=250_000, rounds=2,
     manager_cost_s = max(0.0, wall_s - base_wall_s)
     manager_stats = dict(scenario.manager.stats)
     scan_stats = dict(scenario.manager.scan_stats)
-    budget = scenario.manager.penalty_budget
     point = {
         "threads": spec.threads,
         "tenants": spec.tenants,
@@ -212,10 +211,8 @@ def measure_scale_point(threads, seed=1, event_budget=250_000, rounds=2,
             "events": manager_stats.get("events", 0),
             "detections": manager_stats.get("detections", 0),
             "penalties_applied": manager_stats.get("penalties_applied", 0),
-            "shards": scenario.manager.shard_count,
             "scans": scan_stats.get("scans", 0),
             "scanned": scan_stats.get("evaluated", 0),
-            "budget_denied": budget.stats["denied"] if budget else 0,
         },
         "baseline_requests": base_scenario.total_requests(),
     }

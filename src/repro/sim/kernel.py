@@ -196,12 +196,14 @@ class Kernel:
         self.sched = sched
         self.run_queue = make_run_queue(sched)
         self.run_queue._now = lambda: self.clock.now_us
-        # Policy capabilities, read once: whether _dispatch may use the
-        # inlined head-of-queue shortcut, and the optional slice-end
-        # virtual-runtime accounting hook.  For the default FIFO policy
-        # these resolve to (True, None) and the hot paths are the same
-        # decisions as before the seam -- the golden corpus pins it.
-        self._fifo_fast_path = self.run_queue.fifo_fast_path
+        # Policy entry points, resolved once per kernel: the pick every
+        # dispatch and slice-end refill makes (each policy keeps its
+        # own head-of-queue shortcut), and the optional slice-end
+        # virtual-runtime hook (None for the FIFO policy).  Resolving
+        # here, not at class level, keeps a wrapper installed on the
+        # policy class before construction (bench/layers.py) on every
+        # pick.
+        self._pick_for_core = self.run_queue.pick_for_core
         self._sched_charge = getattr(self.run_queue, "charge", None)
         # Observability: the tracepoint bus every layer fires into.
         # Firing sites pre-fetch their Tracepoint and guard on its
@@ -499,7 +501,7 @@ class Kernel:
             self._dispatch()
 
     def _dispatch(self):
-        # Sharded run-queue scan: only cores idle at entry are visited,
+        # Idle-mask scan: only cores idle at entry are visited,
         # in ascending index order (identical placement to the old full
         # core scan).  A core filled by a recursive dispatch (throttle
         # path) is skipped by the running re-check; no core can become
@@ -508,35 +510,18 @@ class Kernel:
         mask = self._idle_mask
         if not mask:
             return
-        run_queue = self.run_queue
-        queue = run_queue._queue
+        queue = self.run_queue._queue
         cores = self.cores
-        fifo = self._fifo_fast_path
+        pick = self._pick_for_core
         while mask and queue:
             idx = (mask & -mask).bit_length() - 1
             mask &= mask - 1
             core = cores[idx]
             if core.running is not None:
                 continue
-            if fifo:
-                # Inlined pick_for_core fast path: head thread
-                # unconstrained, core unreserved -- the common case at
-                # every scale point.  Only valid for the FIFO policy;
-                # deadline policies always go through pick_for_core.
-                head = queue[0]
-                if (core.reserved_for is None and head.affinity is None
-                        and not head.demoted_until_us):
-                    queue.popleft()
-                    thread = head
-                else:
-                    thread = run_queue.pick_for_core(core)
-                    if thread is None:
-                        continue
-            else:
-                thread = run_queue.pick_for_core(core)
-                if thread is None:
-                    continue
-            self._start_slice(core, thread)
+            thread = pick(core)
+            if thread is not None:
+                self._start_slice(core, thread)
 
     def _start_slice(self, core, thread):
         now = self.clock.now_us
@@ -639,7 +624,7 @@ class Kernel:
         if preempted:
             run_queue.push(thread)
         if self._idle_mask == bit:
-            refill = run_queue.pick_for_core(core)
+            refill = self._pick_for_core(core)
             if refill is not None:
                 self._start_slice(core, refill)
         else:

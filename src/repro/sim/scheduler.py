@@ -17,16 +17,12 @@ Two scheduler policies live behind one seam (:class:`SchedPolicy`):
   threads.
 
 Both policies expose the same protocol (``push`` / ``push_front`` /
-``pick_for_core`` / ``remove`` / ``threads``) plus two capability
-attributes the kernel reads once at construction:
-
-- ``fifo_fast_path``: True when the kernel's inlined head-of-queue
-  dispatch shortcut is behaviourally identical to ``pick_for_core``
-  (true only for the FIFO policy).  The CFS hot path is untouched by
-  the seam -- the golden corpus pins that bit-for-bit.
-- ``charge(thread, ran_us)`` (optional): invoked at every slice end
-  with the CPU actually consumed, so a policy can account virtual
-  runtime.  Policies without the attribute pay nothing.
+``pick_for_core`` / ``remove`` / ``threads``).  Every pick the kernel
+makes goes through ``pick_for_core``, which starts with the policy's
+own O(1) head-of-queue shortcut.  A policy may also define
+``charge(thread, ran_us)``: the kernel invokes it at every slice end
+with the CPU actually consumed, so the policy can account virtual
+runtime.  Policies without it pay nothing.
 
 Determinism: a policy may only consult the thread fields the kernel
 maintains (never wall-clock or iteration order of a set), must break
@@ -82,11 +78,6 @@ class SchedPolicy:
     #: Policy name as selected by ``Kernel(sched=...)``.
     name = "base"
 
-    #: True when the kernel's inlined head-of-queue dispatch shortcut
-    #: (pop the head if it has no affinity, no demotion, and the core
-    #: has no reservation) is equivalent to ``pick_for_core``.
-    fifo_fast_path = False
-
     #: ``pick_for_core`` calls that fell past the policy's head-of-queue
     #: shortcut into a scan of the whole queue (affinity, DARC
     #: reservation or demotion in play).  Host-cost telemetry only:
@@ -117,7 +108,6 @@ class RunQueue(SchedPolicy):
     """Global FIFO ready queue with affinity-aware picking (``cfs``)."""
 
     name = "cfs"
-    fifo_fast_path = True
 
     def __init__(self):
         self._queue = deque()
@@ -232,7 +222,6 @@ class EevdfRunQueue(SchedPolicy):
     """
 
     name = "eevdf"
-    fifo_fast_path = False
 
     def __init__(self, slice_us=DEFAULT_QUANTUM_US):
         self._queue = []

@@ -1,12 +1,13 @@
 """The repo benchmark still runs against this tree.
 
 ``bench/`` drives the simulator from outside.  ``bench/layers.py``
-imports ``ShardedPBoxManager``, wraps ``Tracepoint.fire`` and each
-subscriber's ``attach`` from their class dicts, and rewrites every
-``Tracepoint._subs`` list in place.  A change under ``src/`` that
-deletes or reshapes one of these breaks the benchmark, and no unit test
-would notice.  These run smoke rounds the way ``bench/run.py`` does,
-each in a fresh interpreter.
+imports ``repro.core.shards.ShardedPBoxManager`` (a method-less
+placeholder kept for that import), wraps the manager's, the runtime's
+and ``Tracepoint.fire``'s entry points and each subscriber's ``attach``
+from their class dicts, and rewrites every ``Tracepoint._subs`` list in
+place.  A change under ``src/`` that deletes or reshapes one of these
+breaks the benchmark, and no unit test would notice.  These run smoke
+rounds the way ``bench/run.py`` does, each in a fresh interpreter.
 """
 
 import json
@@ -45,3 +46,14 @@ def test_traced_golden_round_times_the_digest():
 
 def test_scale_eevdf_round_passes():
     _smoke_round("scale-eevdf")
+
+
+def test_traced_scale_round_times_the_manager():
+    """The layer table sees the scale harness's runtime and manager.
+
+    A scale scenario whose manager the class-level wrappers cannot see
+    would leave both rows at zero calls.
+    """
+    layers = _smoke_round("scale-eevdf", "--traced")["layers"]
+    assert layers["core.runtime.calls"] > 0
+    assert layers["core.manager.detect.calls"] > 0

@@ -6,9 +6,9 @@ Three contracts:
   golden digest of a run that reloads at every barrier equals the
   committed corpus digest, and the epoch never moves;
 - an effective reload flushes every penalty armed under the old rule
-  (pending delay dropped and its budget released, defer window clamped,
-  demotion lifted) -- asserted both at the unit level against a stub
-  shard and end-to-end under a penalty-injecting chaos cocktail;
+  (pending delay dropped, defer window clamped, demotion lifted) --
+  asserted both at the unit level against a stub manager and end-to-end
+  under a penalty-injecting chaos cocktail;
 - the penalty-lifetime invariant -- no penalty outlives the rule that
   armed it -- holds at every barrier and at the end of the chaos run.
 """
@@ -19,7 +19,6 @@ import os
 import pytest
 
 from repro.ckpt import RuleReloader, checkpoint_run
-from repro.core.budget import PenaltyBudget
 from repro.core.rules import IsolationRule, Metric, RuleType
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -46,7 +45,7 @@ def test_rule_dict_roundtrip_and_same_as():
                               "metric": Metric.TAIL.value}
 
 
-# -- unit-level flush against a stub shard --------------------------------
+# -- unit-level flush against a stub manager ------------------------------
 
 class _StubKernel:
     def __init__(self, now_us):
@@ -69,20 +68,18 @@ class _StubPBox:
         self.penalty_until_us = 999_000
 
 
-class _StubShard:
+class _StubManager:
     def __init__(self, pboxes, now_us):
         self.kernel = _StubKernel(now_us)
         self._pboxes = {pbox.psid: pbox for pbox in pboxes}
-        self.penalty_budget = PenaltyBudget(cap_us=100_000)
         self._safe_until = {pbox.psid: now_us + 50_000 for pbox in pboxes}
         self._heal_trend = {(pbox.psid, "key"): object() for pbox in pboxes}
 
 
 def test_effective_reload_flushes_old_rule_penalties():
     pbox = _StubPBox(1, IsolationRule(isolation_level=50))
-    shard = _StubShard([pbox], now_us=500_000)
-    shard.penalty_budget.reserve(pbox.pending_penalty_us)
-    reloader = RuleReloader(shard)
+    manager = _StubManager([pbox], now_us=500_000)
+    reloader = RuleReloader(manager)
 
     result = reloader.reload(IsolationRule(isolation_level=30))
     assert not result.noop
@@ -92,18 +89,17 @@ def test_effective_reload_flushes_old_rule_penalties():
     # Penalty machinery of the old rule is fully retired:
     assert pbox.pending_penalty_us == 0
     assert pbox.pending_penalty_flow is None
-    assert shard.penalty_budget.outstanding_us == 0
     assert pbox.penalty_until_us == 500_000
     assert pbox.thread.demoted_until_us == 0
-    assert pbox.psid not in shard._safe_until
-    assert not shard._heal_trend
+    assert pbox.psid not in manager._safe_until
+    assert not manager._heal_trend
     assert reloader.check_invariant() == []
 
 
 def test_identical_reload_is_pure_noop():
     pbox = _StubPBox(1, IsolationRule(isolation_level=50))
-    shard = _StubShard([pbox], now_us=500_000)
-    reloader = RuleReloader(shard)
+    manager = _StubManager([pbox], now_us=500_000)
+    reloader = RuleReloader(manager)
 
     result = reloader.reload(IsolationRule(isolation_level=50))
     assert result.noop
@@ -111,7 +107,7 @@ def test_identical_reload_is_pure_noop():
     # Nothing was flushed:
     assert pbox.pending_penalty_us == 4_000
     assert pbox.thread.demoted_until_us == 900_000
-    assert pbox.psid in shard._safe_until
+    assert pbox.psid in manager._safe_until
 
     # A callable returning None skips the pBox entirely.
     result = reloader.reload(lambda pbox: None)
@@ -121,8 +117,8 @@ def test_identical_reload_is_pure_noop():
 
 def test_invariant_flags_stale_pending_penalty():
     pbox = _StubPBox(1, IsolationRule(isolation_level=50))
-    shard = _StubShard([pbox], now_us=500_000)
-    reloader = RuleReloader(shard)
+    manager = _StubManager([pbox], now_us=500_000)
+    reloader = RuleReloader(manager)
     reloader.reload(IsolationRule(isolation_level=30))
     # Simulate a buggy flush: a penalty queued *before* the change.
     pbox.pending_penalty_us = 2_000
@@ -168,10 +164,10 @@ def test_live_reloads_never_leak_penalties():
         if not reloaders:
             reloaders.append(RuleReloader(env.runtime.manager))
         reloader = reloaders[0]
-        for shard in reloader._shards():
-            for psid in sorted(shard._pboxes):
-                if shard._pboxes[psid].pending_penalty_us > 0:
-                    observed_pending.append((t_us, psid))
+        pboxes = reloader.manager._pboxes
+        for psid in sorted(pboxes):
+            if pboxes[psid].pending_penalty_us > 0:
+                observed_pending.append((t_us, psid))
         level = 30 if (t_us // 250_000) % 2 else 80
         result = reloader.reload(IsolationRule(isolation_level=level),
                                  now_us=t_us)

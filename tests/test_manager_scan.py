@@ -1,32 +1,20 @@
-"""Dirty-set detection: scans touch dirtied pBoxes, never the population.
+"""Freeze-time detection and penalty arming.
 
-The manager's freeze-time detector is driven by a dirty set
-(``dirty_psids``): state events and freezes mark a pBox, ``scan()``
-drains the set in sorted-psid order and evaluates only its frozen
-members.  These tests pin the contract docs/PERFORMANCE.md documents:
-
-- a quiescent pBox is never re-evaluated, no matter how many scans run;
-- a dirtied pBox is always evaluated on the next drain;
-- drain order is sorted by psid (deterministic, independent of event
-  arrival order);
-- a dirty-set scan reaches the same verdicts as the reference
-  full-population scan (hypothesis property over arbitrary scripts).
-
-Also covered here: the :class:`PenaltyArmer` batching semantics the
-penalty path arms through, and the shared :class:`PenaltyBudget`.
+The manager runs pBox-level detection at each freeze, on exactly the
+frozen pBox: one evaluation per freeze, counted in ``scan_stats``
+(outside ``stats``, which the golden corpus pins).  Also covered here:
+the :class:`PenaltyArmer` batching semantics the penalty path arms
+through.
 """
 
-from hypothesis import given, settings, strategies as st
-
-from repro.core import IsolationRule, PBoxManager, PenaltyBudget, StateEvent
-from repro.core.pbox import PBoxStatus
+from repro.core import IsolationRule, PBoxManager
 from repro.sim import Kernel, Sleep
 
 
-def _spawned_manager(scan_policy="deferred", boxes=3, **kwargs):
+def _spawned_manager(boxes=3):
     """Kernel + manager + ``boxes`` created-but-idle pBoxes."""
     kernel = Kernel(cores=2)
-    manager = PBoxManager(kernel, scan_policy=scan_policy, **kwargs)
+    manager = PBoxManager(kernel)
     rule = IsolationRule(isolation_level=50)
     made = {}
 
@@ -39,141 +27,15 @@ def _spawned_manager(scan_policy="deferred", boxes=3, **kwargs):
     return kernel, manager, made["boxes"]
 
 
-# -- dirty-set mechanics ----------------------------------------------------
-
-def test_quiescent_pbox_never_reevaluated():
-    _kernel, manager, boxes = _spawned_manager()
-    for pbox in boxes:
-        manager.activate(pbox)
-        manager.freeze(pbox)
-    assert manager.scan() == len(boxes)
-    # The pBoxes stay registered and frozen, but nothing dirtied them
-    # again: repeated scans must not touch them.
-    for _ in range(5):
-        assert manager.scan() == 0
-    assert manager.scan_stats["evaluated"] == len(boxes)
-
-
-def test_dirtied_pbox_evaluated_on_next_drain():
-    _kernel, manager, boxes = _spawned_manager()
-    target = boxes[1]
-    manager.activate(target)
-    manager.freeze(target)          # freeze dirties it
-    assert target.psid in manager.dirty_psids
-    assert manager.scan() == 1
-    assert target.psid not in manager.dirty_psids
-    # A state event on the frozen pBox re-dirties it for the next scan.
-    manager.update(target, "res", StateEvent.HOLD)
-    assert target.psid in manager.dirty_psids
-    assert manager.scan() == 1
-
-
-def test_non_frozen_dirty_psids_are_skipped_not_lost():
-    _kernel, manager, boxes = _spawned_manager()
-    active = boxes[0]
-    manager.activate(active)
-    manager.update(active, "res", StateEvent.HOLD)   # dirty, mid-activity
-    assert manager.scan() == 0
-    assert manager.scan_stats["skipped_clean"] == 1
-    # Its own freeze re-marks it, so nothing was lost by the skip.
-    manager.freeze(active)
-    assert manager.scan() == 1
-
-
-def test_scan_drains_in_sorted_psid_order():
-    _kernel, manager, boxes = _spawned_manager(boxes=4)
-    order = []
-    original = manager._pbox_level_detection
-    manager._pbox_level_detection = lambda pbox: (
-        order.append(pbox.psid), original(pbox))
-    # Dirty in deliberately reversed creation order.
-    for pbox in reversed(boxes):
-        manager.activate(pbox)
-        manager.freeze(pbox)
-    manager.scan()
-    assert order == sorted(pbox.psid for pbox in boxes)
-
-
-def test_disabled_manager_scan_clears_without_work():
-    _kernel, manager, boxes = _spawned_manager(enabled=False)
-    manager.dirty_psids.update(pbox.psid for pbox in boxes)
-    assert manager.scan() == 0
-    assert manager.dirty_psids == set()
-    assert manager.scan_stats["scans"] == 0
-
+# -- freeze-time detection --------------------------------------------------
 
 def test_eager_policy_scans_at_freeze():
-    _kernel, manager, boxes = _spawned_manager(scan_policy="eager")
+    _kernel, manager, boxes = _spawned_manager()
     pbox = boxes[0]
     manager.activate(pbox)
     manager.freeze(pbox)
-    # Eager mode drained and evaluated the one-psid dirty set inline.
-    assert pbox.psid not in manager.dirty_psids
-    assert manager.scan_stats == {
-        "scans": 1, "evaluated": 1, "skipped_clean": 0, "peak_dirty": 0}
-
-
-# -- dirty-set scan == full-population scan (property) ----------------------
-
-EVENTS = [StateEvent.PREPARE, StateEvent.ENTER, StateEvent.HOLD,
-          StateEvent.UNHOLD]
-
-step_strategy = st.tuples(
-    st.integers(0, 2),      # pbox index
-    st.integers(0, 2),      # resource key index
-    st.integers(0, 5),      # 0-3 events, 4 activate, 5 freeze
-    st.integers(0, 2_000),  # virtual-time gap before the step
-)
-
-
-def _run_script_then_scan(steps, full):
-    """Replay ``steps`` on a deferred-scan manager, then scan one way."""
-    kernel = Kernel(cores=2)
-    manager = PBoxManager(kernel, scan_policy="deferred")
-    rule = IsolationRule(isolation_level=50)
-    state = {}
-
-    def driver():
-        boxes = [manager.create(rule) for _ in range(3)]
-        state["boxes"] = boxes
-        for pbox in boxes:
-            manager.activate(pbox)
-        for pbox_index, key_index, op, gap_us in steps:
-            if gap_us:
-                yield Sleep(us=gap_us)
-            pbox = boxes[pbox_index]
-            key = "res-%d" % key_index
-            if op < 4:
-                manager.update(pbox, key, EVENTS[op])
-            elif op == 4:
-                manager.activate(pbox)
-            else:
-                manager.freeze(pbox)
-
-    kernel.spawn(driver)
-    kernel.run(until_us=60_000_000)
-    manager.scan(full=full)
-    return manager, state["boxes"]
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(step_strategy, max_size=50))
-def test_dirty_scan_matches_full_population_scan(steps):
-    """Same script, dirty-set drain vs full scan: identical verdicts.
-
-    Freeze-time detection is idempotent for a clean frozen pBox (an
-    acting evaluation clears its blame; a non-acting one mutates
-    nothing), so skipping quiescent pBoxes cannot change outcomes: the
-    action/penalty counters and every pBox's pending penalty must
-    match the reference scan that visits the whole population.
-    """
-    dirty_manager, dirty_boxes = _run_script_then_scan(steps, full=False)
-    full_manager, full_boxes = _run_script_then_scan(steps, full=True)
-    assert dirty_manager.stats == full_manager.stats
-    for mine, theirs in zip(dirty_boxes, full_boxes):
-        assert mine.pending_penalty_us == theirs.pending_penalty_us
-        assert mine.penalties_received == theirs.penalties_received
-        assert mine.status == theirs.status
+    # The freeze evaluated exactly the frozen pBox, inline.
+    assert manager.scan_stats == {"scans": 1, "evaluated": 1}
 
 
 # -- PenaltyArmer batching --------------------------------------------------
@@ -214,51 +76,3 @@ def test_armer_burns_seq_for_batched_entries():
     after = next(kernel._seq)
     # One post + one burn + the two probes themselves.
     assert after - before == 3
-
-
-# -- PenaltyBudget ----------------------------------------------------------
-
-def test_budget_reserve_release_cycle():
-    budget = PenaltyBudget(cap_us=1_000)
-    assert budget.reserve(600) == 600
-    assert budget.reserve(600) == 400            # trimmed to headroom
-    assert budget.reserve(1) == 0                # denied: exhausted
-    assert budget.stats["trimmed"] == 1
-    assert budget.stats["denied"] == 1
-    budget.release(400)
-    assert budget.reserve(400) == 400
-    assert budget.stats["peak_outstanding_us"] == 1_000
-
-
-def test_budget_release_saturates_at_zero():
-    budget = PenaltyBudget(cap_us=1_000)
-    budget.reserve(100)
-    budget.release(5_000)     # injected penalties bypass reserve
-    assert budget.outstanding_us == 0
-    budget.release(100)
-    assert budget.outstanding_us == 0
-
-
-def test_budget_unlimited_is_pure_accounting():
-    budget = PenaltyBudget()
-    assert budget.reserve(10**9) == 10**9
-    assert budget.stats["denied"] == 0
-
-
-def test_budget_rejects_non_positive_cap():
-    import pytest
-    with pytest.raises(ValueError):
-        PenaltyBudget(cap_us=0)
-
-
-def test_budget_denial_drops_manager_action():
-    """An exhausted budget silently drops the penalty, not the run."""
-    kernel, manager, boxes = _spawned_manager(
-        scan_policy="eager", penalty_budget=PenaltyBudget(cap_us=1))
-    manager.penalty_budget.reserve(1)            # exhaust it
-    noisy, victim = boxes[0], boxes[1]
-    actions_before = manager.stats["actions"]
-    manager.take_action(noisy, victim, "res", victim_defer_us=10_000)
-    assert manager.stats["actions"] == actions_before
-    assert noisy.pending_penalty_us == 0
-    assert manager.penalty_budget.stats["denied"] == 1

@@ -1,14 +1,12 @@
-"""Scheduler-seam differential and EEVDF property tests.
+"""Scheduler-seam policy tests: the registry, EEVDF's invariants, and
+the heap-indexed EEVDF queue against the scan it replaced.
 
-Two halves, matching the seam's two claims:
-
-1. **cfs is the pre-seam scheduler, bit for bit.**  Every pre-seam
-   golden case replays to its committed digest with the policy
-   selected *explicitly* (``sched="cfs"``) and the kernel's inlined
-   head-of-queue dispatch shortcut disabled -- so the differential
-   simultaneously proves that the seam's explicit selection equals the
-   default path and that :meth:`RunQueue.pick_for_core` is
-   behaviourally identical to the fast path it shadows.
+1. **the policies differ.**  The committed c18/c20 golden pair proves
+   eevdf actually diverges from cfs on a contended case (a pin of a
+   policy whose schedule never differs would be vacuous).  That cfs
+   itself replays the corpus bit for bit is the golden suite's job
+   (tests/test_golden_traces.py): every dispatch goes through
+   ``pick_for_core``, so the corpus replay covers the pick.
 
 2. **eevdf honors its invariants under arbitrary schedules.**  The
    queue-level hypothesis suite drives push / pick / charge
@@ -17,10 +15,7 @@ Two halves, matching the seam's two claims:
    work-conserving (a non-empty feasible queue always yields a
    thread), and no thread starves (every continuously-runnable thread
    is served within a bounded number of picks).  A full-kernel run
-   re-checks starvation end to end, and the committed c18/c20 golden
-   pair proves the policy actually diverges from cfs on a contended
-   case (a pin of a policy whose schedule never differs would be
-   vacuous).
+   re-checks starvation end to end.
 
 3. **the heap-indexed eevdf queue is the scan it replaced.**  A
    verbatim copy of the scan-based queue stays here as an oracle; a
@@ -40,7 +35,6 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.obs.golden import first_divergence, run_golden_case
 from repro.sim.kernel import Kernel
 from repro.sim.scheduler import (
     DEFAULT_QUANTUM_US,
@@ -56,25 +50,6 @@ from repro.sim.thread import ThreadState
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
-#: The pre-seam corpus: the 17 cases that existed before the scheduler
-#: seam landed (their frozen digests live in test_golden_traces.py's
-#: PRE_SEAM_DIGESTS table; here the committed documents are the
-#: reference, so the two suites catch a drifting corpus from both
-#: ends).
-PRE_SEAM_CASES = tuple("c%d" % i for i in range(1, 18))
-
-#: Cheap, structurally diverse representatives kept in the fast loop
-#: (`pytest -m "not slow"`); the rest of the corpus carries a `slow`
-#: mark.  CI's sched-matrix job and the full tier-1 run execute the
-#: whole file, so all 17 differentials still gate every change.
-_FAST_DIFFERENTIAL_CASES = frozenset({"c1", "c3", "c5", "c14", "c17"})
-
-_DIFFERENTIAL_PARAMS = tuple(
-    case_id if case_id in _FAST_DIFFERENTIAL_CASES
-    else pytest.param(case_id, marks=pytest.mark.slow)
-    for case_id in PRE_SEAM_CASES
-)
-
 
 def _load_golden(case_id):
     with open(os.path.join(GOLDEN_DIR, "%s.json" % case_id)) as handle:
@@ -82,38 +57,11 @@ def _load_golden(case_id):
 
 
 # ---------------------------------------------------------------------------
-# Half 1: the cfs differential against the committed corpus.
-
-
-@pytest.mark.parametrize("case_id", _DIFFERENTIAL_PARAMS)
-def test_cfs_explicit_with_fast_path_disabled_matches_corpus(case_id):
-    """Explicit cfs + disabled dispatch shortcut == committed digest.
-
-    ``_fifo_fast_path = False`` forces every dispatch through
-    :meth:`RunQueue.pick_for_core`; a digest match therefore proves
-    the general scan and the inlined shortcut make identical decisions
-    on the full corpus, and that selecting ``cfs`` by name is the
-    default path.
-    """
-    golden = _load_golden(case_id)
-
-    def disable_fast_path(env):
-        env.kernel._fifo_fast_path = False
-
-    actual = run_golden_case(case_id, golden["duration_s"],
-                             golden["seed"], observer=disable_fast_path,
-                             sched="cfs")
-    assert first_divergence(golden, actual) is None, (
-        "cfs with the dispatch fast path disabled diverged from the "
-        "committed corpus on %s: pick_for_core is no longer equivalent "
-        "to the inlined shortcut" % case_id)
-    assert actual["digest"] == golden["digest"]
+# Half 1: the policy registry and the c18/c20 pin pair.
 
 
 def test_policy_registry_capabilities():
     assert sorted(SCHED_POLICIES) == ["cfs", "eevdf"]
-    assert RunQueue.fifo_fast_path is True
-    assert EevdfRunQueue.fifo_fast_path is False
     with pytest.raises(ValueError):
         make_run_queue("o1-lottery")
 
@@ -341,7 +289,6 @@ class _ScanEevdfRunQueue(SchedPolicy):
     up to three times per pick, ties broken by scan position)."""
 
     name = "eevdf"
-    fifo_fast_path = False
 
     def __init__(self, slice_us=DEFAULT_QUANTUM_US):
         self._queue = deque()
