@@ -1,9 +1,9 @@
-"""Bind the pre-timer-wheel kernel hot paths onto a Kernel instance.
+"""Bind the pre-scalability kernel hot paths onto a Kernel instance.
 
 The scale-throughput guard compares the current kernel against the
 kernel as it was before the scalability work: a single global event
-heap, a full core scan on every dispatch, and one enqueue+dispatch per
-woken futex waiter.  These functions are verbatim ports of that code
+heap with no zero-delay lane, a full core scan on every dispatch, and
+one enqueue+dispatch per woken futex waiter.  These functions are verbatim ports of that code
 (see git history of ``src/repro/sim/kernel.py``); ``bind_legacy``
 monkeypatches them onto one Kernel instance so the A/B runs in-process
 on identical scenario specs.

@@ -4,7 +4,8 @@ Four load-bearing properties of the scalability work are asserted here
 rather than described:
 
 1. **kernel event throughput** -- at 10,000 threads the current kernel
-   (timer wheel + batched futex wake + idle-core bitmask dispatch)
+   (zero-delay timer lane + batched futex wake + idle-core bitmask
+   dispatch)
    must process its event stream at >= 5x the rate of the pre-PR
    kernel (global event heap, full core scan per dispatch, one
    enqueue+dispatch per woken waiter).  The comparison is in-process

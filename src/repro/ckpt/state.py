@@ -2,7 +2,7 @@
 
 A *walk* is a JSON-safe, deterministically-ordered rendering of every
 piece of observable simulation state: the kernel (clock, run queues,
-timer wheel entries, futex waiters, cgroups, per-thread accounting, RNG
+timer queue entries, futex waiters, cgroups, per-thread accounting, RNG
 stream fingerprints, penalty-armer buckets) and the complete pBox layer
 (the manager, its pBoxes and heal trends).
 

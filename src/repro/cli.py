@@ -495,9 +495,9 @@ def cmd_scale(args):
             point["cores"], point["events_per_sec"], point["requests"],
             100.0 * point["manager"]["overhead_frac"]))
 
-    # The CLI sweep defaults to the full six-family mix; the benchmark
-    # A/B guard keeps exercising the original three-family default via
-    # ScaleSpec directly.
+    # The CLI ships eevdf with the full six-family mix; the benchmark
+    # A/B guard keeps exercising the library defaults (cfs, three
+    # families) via ScaleSpec directly.
     document = run_scale_sweep(thread_counts=thread_counts,
                                seed=args.seed, event_budget=event_budget,
                                progress=progress, telemetry=args.telemetry,
@@ -569,17 +569,25 @@ def _watch_case(args, pipeline, frame):
     return run.env.kernel.now_us
 
 
-def _watch_scale(args, pipeline, frame):
-    """Drive one scale point under ``watch``; returns final time."""
-    from repro.scale.scenario import ScaleSpec, build_scale_scenario
-    from repro.scale.sweep import default_scale_evaluator
+def _scale_point_spec(args):
+    """The scale point ``watch scale`` and ``why scale`` drive: the
+    configuration ``repro scale`` ships (eevdf, all six families)."""
+    from repro.scale.scenario import EXTENDED_APP_KINDS, ScaleSpec
 
-    pipeline.evaluator = default_scale_evaluator()
     event_budget = args.event_budget
     if _smoke_mode():
         event_budget = min(event_budget, 40_000)
-    spec = ScaleSpec(args.threads, seed=args.seed,
-                     event_budget=event_budget)
+    return ScaleSpec(args.threads, seed=args.seed, event_budget=event_budget,
+                     sched="eevdf", families=EXTENDED_APP_KINDS)
+
+
+def _watch_scale(args, pipeline, frame):
+    """Drive one scale point under ``watch``; returns final time."""
+    from repro.scale.scenario import build_scale_scenario
+    from repro.scale.sweep import default_scale_evaluator
+
+    pipeline.evaluator = default_scale_evaluator()
+    spec = _scale_point_spec(args)
     scenario = build_scale_scenario(spec, telemetry=pipeline)
     kernel = scenario.kernel
     step_us = pipeline.window_us * 5
@@ -695,15 +703,11 @@ def cmd_why(args):
     explainer = BreachExplainer(tracer)
 
     if args.target == "scale":
-        from repro.scale.scenario import ScaleSpec, build_scale_scenario
+        from repro.scale.scenario import build_scale_scenario
         from repro.scale.sweep import default_scale_evaluator
 
         pipeline.evaluator = default_scale_evaluator()
-        event_budget = args.event_budget
-        if _smoke_mode():
-            event_budget = min(event_budget, 40_000)
-        spec = ScaleSpec(args.threads, seed=args.seed,
-                         event_budget=event_budget)
+        spec = _scale_point_spec(args)
         scenario = build_scale_scenario(spec, telemetry=pipeline)
         tracer.attach(scenario.kernel.trace)
         explainer.attach(scenario.kernel.trace)
@@ -1017,9 +1021,9 @@ def build_parser():
                               help="output path (default: "
                                    "results/SCALE.json)")
     scale_parser.add_argument("--sched", choices=("cfs", "eevdf"),
-                              default="cfs",
+                              default="eevdf",
                               help="scheduler policy for every kernel "
-                                   "of the sweep (default: cfs)")
+                                   "of the sweep (default: eevdf)")
     scale_parser.add_argument("--telemetry", action="store_true",
                               help="collect per-tenant SLO telemetry "
                                    "(sketches, windowed series, breach "

@@ -132,19 +132,18 @@ class Histogram:
             self.record(value)
 
     def merge(self, other):
-        """Fold another histogram's buckets and totals in."""
+        """Fold ``other`` in; exact (adds bucket counts).  Returns self."""
         for index, count in other.buckets.items():
             self.buckets[index] = self.buckets.get(index, 0) + count
         self.count += other.count
         self.total += other.total
-        for bound in (other.min_value,):
-            if bound is not None and (self.min_value is None
-                                      or bound < self.min_value):
-                self.min_value = bound
-        for bound in (other.max_value,):
-            if bound is not None and (self.max_value is None
-                                      or bound > self.max_value):
-                self.max_value = bound
+        if other.min_value is not None and (
+                self.min_value is None or other.min_value < self.min_value):
+            self.min_value = other.min_value
+        if other.max_value is not None and (
+                self.max_value is None or other.max_value > self.max_value):
+            self.max_value = other.max_value
+        return self
 
     def mean(self):
         """Exact mean of recorded values."""
@@ -181,7 +180,8 @@ class Histogram:
         return self.percentile_bounds(p)[1]
 
     def __repr__(self):
-        return "Histogram(name=%r, count=%d)" % (self.name, self.count)
+        return "%s(name=%r, count=%d)" % (type(self).__name__, self.name,
+                                          self.count)
 
 
 class MetricsRegistry:

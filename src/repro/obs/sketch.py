@@ -6,11 +6,12 @@ tenants, and -- were the kernel split into per-process shards --
 across shard streams, and (c) compared byte-for-byte so a merged
 document is reproducible regardless of which shard finished first.
 
-:class:`QuantileSketch` is DDSketch-style: values land in log-spaced
-buckets indexed by a pure function of the value (the same
-16-sub-buckets-per-octave layout as
-:func:`repro.obs.metrics.bucket_index`, <= 6.25% relative bucket
-width).  Because the bucket index depends only on the value, merging is
+:class:`QuantileSketch` is the metrics
+:class:`~repro.obs.metrics.Histogram`, DDSketch-style: values land in
+log-spaced buckets indexed by a pure function of the value
+(:func:`repro.obs.metrics.bucket_index`, 16 sub-buckets per octave,
+<= 6.25% relative bucket width).  Because the bucket index depends only
+on the value, merging is
 plain bucket-count addition: an associative, commutative fold.  The
 canonical serialization (:meth:`to_bytes`) sorts bucket indices and
 delta-encodes them, so *any* merge order -- pairwise, tree-shaped,
@@ -24,60 +25,25 @@ histograms.
 
 import json
 
-from repro.obs.metrics import bucket_bounds, bucket_index
+from repro.obs.metrics import Histogram
 
 
-class QuantileSketch:
-    """Log-bucketed mergeable quantile sketch over non-negative ints."""
+class QuantileSketch(Histogram):
+    """Log-bucketed mergeable quantile sketch over non-negative ints.
 
-    __slots__ = ("name", "buckets", "count", "total", "min_value",
-                 "max_value")
+    A :class:`~repro.obs.metrics.Histogram` (same slots, ``record`` and
+    ``merge``) that reads 0 when empty, because telemetry windows are
+    often empty, and serializes canonically.
+    """
+
+    __slots__ = ()
 
     def __init__(self, name="sketch"):
-        self.name = name
-        self.buckets = {}
-        self.count = 0
-        self.total = 0
-        self.min_value = None
-        self.max_value = None
-
-    def record(self, value):
-        """Record one value (negative values clamp to zero)."""
-        value = int(value)
-        if value < 0:
-            value = 0
-        index = bucket_index(value)
-        self.buckets[index] = self.buckets.get(index, 0) + 1
-        self.count += 1
-        self.total += value
-        if self.min_value is None or value < self.min_value:
-            self.min_value = value
-        if self.max_value is None or value > self.max_value:
-            self.max_value = value
-
-    def merge(self, other):
-        """Fold ``other`` in; exact (adds bucket counts).  Returns self."""
-        for index, count in other.buckets.items():
-            self.buckets[index] = self.buckets.get(index, 0) + count
-        self.count += other.count
-        self.total += other.total
-        if other.min_value is not None and (
-                self.min_value is None or other.min_value < self.min_value):
-            self.min_value = other.min_value
-        if other.max_value is not None and (
-                self.max_value is None or other.max_value > self.max_value):
-            self.max_value = other.max_value
-        return self
+        super().__init__(name)
 
     def copy(self, name=None):
         """Independent copy (used to snapshot an open window)."""
-        duplicate = QuantileSketch(name or self.name)
-        duplicate.buckets = dict(self.buckets)
-        duplicate.count = self.count
-        duplicate.total = self.total
-        duplicate.min_value = self.min_value
-        duplicate.max_value = self.max_value
-        return duplicate
+        return type(self)(name or self.name).merge(self)
 
     # -- queries ---------------------------------------------------------
 
@@ -92,17 +58,7 @@ class QuantileSketch:
         (conservative for latency: true value is at most one bucket
         width -- <= 6.25% -- below).  Empty sketches report 0.
         """
-        if self.count == 0:
-            return 0
-        if not 0 <= p <= 100:
-            raise ValueError("percentile must be within [0, 100]")
-        rank = min(int(self.count * p / 100.0), self.count - 1)
-        cumulative = 0
-        for index in sorted(self.buckets):
-            cumulative += self.buckets[index]
-            if cumulative > rank:
-                return bucket_bounds(index)[1]
-        raise AssertionError("unreachable: rank below total count")
+        return super().percentile(p) if self.count else 0
 
     # -- canonical serialization ----------------------------------------
 
@@ -151,10 +107,6 @@ class QuantileSketch:
 
     def __len__(self):
         return self.count
-
-    def __repr__(self):
-        return "QuantileSketch(name=%r, count=%d, buckets=%d)" % (
-            self.name, self.count, len(self.buckets))
 
 
 def merge_all(sketches, name="merged"):

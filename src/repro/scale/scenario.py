@@ -13,7 +13,7 @@ when the extended mix is selected) plus its workers:
   tenant's condition key: every broadcast wakes the whole pool at once
   and each woken worker burns a short compute slice -- the regime the
   batched futex wake, the idle-core bitmask dispatch, and the timer
-  wheel exist for.
+  queue's zero-delay lane exist for.
 
 Everything is seeded through the kernel's named RNG registry, so a
 scale run is as deterministic as any registry case.

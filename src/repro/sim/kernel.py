@@ -99,17 +99,17 @@ class PenaltyArmer:
     """Batch same-expiry penalty wake-ups into one timer dispatch.
 
     When the manager penalizes many pBoxes in the same window, their
-    delays often expire at the same microsecond.  Arming one wheel
-    timer per penalty makes N simultaneous penalties cost N inserts
-    and N dispatches; this armer keeps one bucket per distinct expiry
-    and posts a single timer that fires the bucket's entries in arm
-    order -- the same batching the futex wake-all path uses.
+    delays often expire at the same microsecond.  Arming one timer per
+    penalty makes N simultaneous penalties cost N inserts and N
+    dispatches; this armer keeps one bucket per distinct expiry and
+    posts a single timer that fires the bucket's entries in arm order
+    -- the same batching the futex wake-all path uses.
 
-    Equivalence with per-penalty timers is exact under the wheel's
-    ``(when, seq)`` ordering contract: a bucket's entries would have
-    fired back-to-back anyway (each join still consumes a ``_seq``
-    tick, so tie-breaks and event accounting are bit-identical to the
-    unbatched kernel -- the golden corpus is the proof).  Handles
+    Equivalence with per-penalty timers is exact under the timer
+    queue's ``(when, seq)`` ordering contract: a bucket's entries
+    would have fired back-to-back anyway (each join still consumes a
+    ``_seq`` tick, so tie-breaks and event accounting are bit-identical
+    to the unbatched kernel -- the golden corpus is the proof).  Handles
     support ``cancel()`` like plain timers, so ``kill_thread`` works
     unchanged.
     """
@@ -225,7 +225,7 @@ class Kernel:
         self.threads = []
         self.resume_hooks = []
         # Penalty delivery: resume-hook delays are armed through this
-        # batcher (one wheel dispatch per distinct expiry) instead of
+        # batcher (one timer dispatch per distinct expiry) instead of
         # one timer per penalty; see PenaltyArmer.
         self.penalty_armer = PenaltyArmer(self)
         self.stats = {
@@ -325,7 +325,7 @@ class Kernel:
         now = self.clock.now_us
         # int() matches the clock's integer-microsecond invariant (the
         # old heap floored float deadlines when advancing the clock;
-        # the wheel floors them when arming -- same firing time).
+        # post() floors them when arming -- same firing time).
         when_us = int(when_us)
         if when_us < now:
             when_us = now
@@ -356,23 +356,16 @@ class Kernel:
         this.
         """
         # Hot loop: locals instead of attribute lookups, and a float
-        # +inf sentinel so the limit test is a single comparison.  The
-        # wheel drains cancelled entries and enforces the limit
-        # internally; entries pop in exact (when, seq) order.
-        #
-        # The lane and due-heap fast paths are inlined.  Lane entries
-        # sit at the cursor and fire in arm order, after any due entry
-        # at the cursor (armed earlier -- see timerwheel.py).  Otherwise
-        # a non-empty "due" heap's head is the global minimum (far-level
-        # entries all live in later blocks), so a due event costs one C
-        # heappop with no method call or result tuple.  The slow branch
-        # (both empty: hunt to the next block, or nothing left) stays
-        # behind pop_next.
+        # +inf sentinel so the limit test is a single comparison.
+        # TimerWheel.pop_next, inlined: lane entries sit at the cursor
+        # and fire in arm order, after any due entry at the cursor
+        # (armed earlier -- see timerwheel.py); otherwise the due
+        # heap's head is next.  Entries pop in exact (when, seq) order,
+        # and cancelled ones are dropped.
         clock = self.clock
         wheel = self._wheel
         lane = wheel._lane
         due = wheel._due
-        pop_next = wheel.pop_next
         limit = float("inf") if until_us is None else until_us
         while True:
             if lane:
@@ -383,28 +376,20 @@ class Kernel:
                     entry = heappop(due)
                 else:
                     entry = lane.popleft()
-                wheel._count -= 1
-                timer = entry[2]
-                if timer.cancelled:
-                    continue
             elif due:
                 entry = due[0]
                 when = entry[0]
                 if when > limit:
                     break
                 heappop(due)
-                wheel._count -= 1
                 wheel._cur = when
-                timer = entry[2]
-                if timer.cancelled:
-                    continue
             else:
-                entry = pop_next(limit)
-                if entry is None:
-                    break
-                when, timer = entry
+                break
+            timer = entry[2]
+            if timer.cancelled:
+                continue
             if when > clock.now_us:
-                # Inlined advance_to: wheel order + the post() clamp
+                # Inlined advance_to: queue order + the post() clamp
                 # make backwards movement impossible here.
                 clock.now_us = when
             timer.fn()
@@ -571,19 +556,14 @@ class Kernel:
         timer.cancelled = False
         wheel = self._wheel
         cur = wheel._cur
-        # Inlined wheel.insert() fast paths (when >= cursor holds
-        # because the cursor never runs ahead of the clock): a
-        # zero-length slice armed at the cursor -- about half of all
-        # slices -- goes to the FIFO lane, and most others end inside
-        # the cursor's current 1024us block.
+        # Inlined wheel.insert() (when >= cursor holds because the
+        # cursor never runs ahead of the clock): a zero-length slice
+        # armed at the cursor -- about half of all slices -- goes to
+        # the FIFO lane, every other slice end to the due heap.
         if when <= cur:
             wheel._lane.append((cur, next(self._seq), timer))
-            wheel._count += 1
-        elif when ^ cur < 1024:
-            heappush(wheel._due, (when, next(self._seq), timer))
-            wheel._count += 1
         else:
-            wheel.insert(when, next(self._seq), timer)
+            heappush(wheel._due, (when, next(self._seq), timer))
         core._slice_started_us = now
 
     def _slice_end(self, core):
@@ -709,11 +689,10 @@ class Kernel:
     def _execute(self, thread, syscall):
         """Perform ``syscall``; return its value or ``_BLOCKED``.
 
-        Dispatches on the exact syscall class first (the syscall set is
-        closed and flat, so ``type(x) is C`` is both correct and faster
-        than an isinstance chain); unknown classes fall through to the
-        original isinstance tests so hypothetical subclasses keep
-        working.
+        Dispatches on the exact syscall class: the syscall set is
+        closed and flat (no syscall class has a subclass), so
+        ``type(x) is C`` is both correct and cheaper than
+        ``isinstance``.  Anything else is a :class:`TypeError`.
         """
         self.stats["syscalls"] += 1
         cls = syscall.__class__
@@ -730,8 +709,6 @@ class Kernel:
             self._enqueue(thread, compute_us=overhead, resume_value=None)
             return _BLOCKED
 
-        # Exact-class fast paths for the remaining hot syscalls (same
-        # bodies as the isinstance chain below, minus the chain walk).
         if cls is FutexWait:
             thread.state = BLOCKED
             thread.wait_key = syscall.key
@@ -761,39 +738,7 @@ class Kernel:
             )
             return _BLOCKED
 
-        if isinstance(syscall, Compute):
-            amount = syscall.us + thread.overhead_us
-            thread.overhead_us = 0
-            self._enqueue(thread, compute_us=amount, resume_value=None)
-            return _BLOCKED
-
-        if isinstance(syscall, Sleep):
-            thread.state = SLEEPING
-            if self._tp_sleep.active:
-                self._tp_sleep.fire(self.clock.now_us, tid=thread.tid,
-                                    us=syscall.us)
-            thread.wakeup_event = self.post(
-                self.clock.now_us + syscall.us,
-                lambda: self._wake_sleeper(thread),
-            )
-            return _BLOCKED
-
-        if isinstance(syscall, FutexWait):
-            thread.state = BLOCKED
-            thread.wait_key = syscall.key
-            thread.blocked_since_us = self.clock.now_us
-            self.futexes.add(syscall.key, thread)
-            if syscall.timeout_us is not None:
-                thread.wakeup_event = self.post(
-                    self.clock.now_us + syscall.timeout_us,
-                    lambda: self._futex_timeout(thread, syscall.key),
-                )
-            return _BLOCKED
-
-        if isinstance(syscall, FutexWake):
-            return self.futex_wake(syscall.key, syscall.n)
-
-        if isinstance(syscall, Spawn):
+        if cls is Spawn:
             spawned = syscall.thread
             if spawned.state is not NEW:
                 raise ValueError("thread %r already started" % spawned)
@@ -804,7 +749,7 @@ class Kernel:
             self._enqueue(spawned, compute_us=0, resume_value=None)
             return spawned
 
-        if isinstance(syscall, Join):
+        if cls is Join:
             target = syscall.thread
             if not target.alive:
                 return target.return_value
@@ -812,10 +757,7 @@ class Kernel:
             target.joiners.append(thread)
             return _BLOCKED
 
-        if isinstance(syscall, Now):
-            return self.now_us
-
-        if isinstance(syscall, Yield):
+        if cls is Yield:
             self._enqueue(thread, compute_us=0, resume_value=None)
             return _BLOCKED
 

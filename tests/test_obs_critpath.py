@@ -328,8 +328,10 @@ def test_tracer_is_pure_subscriber_on_golden_case():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("case_id", ["c%d" % n for n in range(1, 18)])
+@pytest.mark.parametrize("case_id", ["c%d" % n for n in range(1, 21)])
 def test_tracer_is_pure_subscriber_everywhere(case_id):
+    """Telemetry (slo.* firing), tracer and explainer (why.* firing),
+    attached together, move no event in any corpus case."""
     _assert_golden_unchanged_with_tracing(case_id)
 
 

@@ -256,9 +256,9 @@ def test_unmonitored_tenant_produces_no_events():
 
 # -- pipeline + evaluator + derived tracepoints ----------------------------
 
-def _breaching_pipeline(bus=None):
+def _breaching_pipeline(bus=None, tenant="t0"):
     evaluator = SLOEvaluator(
-        {"t0": SLObjective(latency_us=100, target=0.9)},
+        {tenant: SLObjective(latency_us=100, target=0.9)},
         policy=_fast_policy())
     pipeline = TelemetryPipeline(window_us=100_000, evaluator=evaluator)
     if bus is not None:
@@ -473,7 +473,10 @@ def _assert_golden_unchanged_with_telemetry(case_id):
     from repro.obs.golden import first_divergence, run_golden_case
 
     golden = _load_golden(case_id)
-    pipeline = _breaching_pipeline()
+    # Every corpus case has a ``victim`` tenant, and a 100 us objective
+    # breaches in each, so the purity claim covers the slo.* emitting
+    # path, not just attachment.
+    pipeline = _breaching_pipeline(tenant="victim")
 
     def observer(env):
         env.telemetry = pipeline
@@ -484,6 +487,7 @@ def _assert_golden_unchanged_with_telemetry(case_id):
     assert first_divergence(golden, actual) is None, (
         "telemetry attachment changed the canonical stream of %s"
         % case_id)
+    assert pipeline.slo_events, case_id
 
 
 def test_telemetry_is_pure_subscriber_on_golden_case():

@@ -1,22 +1,23 @@
-"""Property tests for the hierarchical timer wheel.
+"""Property tests for the kernel's timer queue.
 
-The wheel replaced the kernel's single global event heap, so its
-contract is checked against the thing it replaced: a sorted-heap model.
-For arbitrary interleavings of arm / cancel / pop-up-to-limit the wheel
-must fire exactly the timers the heap would fire, in exactly the heap's
+The queue (a zero-delay lane plus one ``(when, seq)`` heap) replaced
+the kernel's single global event heap, so its contract is checked
+against the thing it replaced: a sorted-heap model.  For arbitrary
+interleavings of arm / cancel / pop-up-to-limit the queue must fire
+exactly the timers the heap would fire, in exactly the heap's
 ``(when, seq)`` order -- never losing a timer, never firing a cancelled
-one, never firing early, regardless of which level (due block, the
-three far levels, or the overflow heap) an entry cascades through.
+one, never firing early, whether an entry waits in the lane or the
+heap, at delays from zero to beyond 2^40 us.
 
-The operation stream mirrors how the kernel drives the wheel: pops use
+The operation stream mirrors how the kernel drives the queue: pops use
 a monotone ``limit`` (the run horizon), a ``None`` pop advances virtual
 time to the limit, and no arm ever targets the past (the kernel clamps
 ``post()`` to ``now``).  Three more operations aim at the zero-delay
-lane, which holds every timer armed at the wheel's cursor: arms
+lane, which holds every timer armed at the queue's cursor: arms
 exactly at the cursor right after a pop returned an entry (the kernel's
-zero-length slices), arms below the cursor (which the wheel clamps to
+zero-length slices), arms below the cursor (which the queue clamps to
 it), and pops whose limit lies below the cursor (which fire nothing).
-After every operation the wheel's ``snapshot_entries()`` must equal
+After every operation the queue's ``snapshot_entries()`` must equal
 the model's live ``(when, seq)`` pairs.
 """
 
@@ -39,8 +40,9 @@ class _FakeTimer:
         return "T%d%s" % (self.name, "x" if self.cancelled else "")
 
 
-#: Deltas spanning every wheel level: the due block (< 1024 us), the
-#: three far levels (up to ~2^40 us), and the overflow heap beyond.
+#: Deltas in four bands, from the cursor's own 1024 us block to beyond
+#: 2^40 us (the bounds of the cascading levels the queue replaced), so
+#: near and far timers meet in one heap.
 _DELTAS = st.one_of(
     st.integers(0, 1023),
     st.integers(1024, (1 << 20) - 1),
