@@ -11,6 +11,7 @@ shapes are (see EXPERIMENTS.md for the side-by-side record).
 """
 
 import os
+import sys
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
 
@@ -59,3 +60,35 @@ def write_result(name, lines):
 def once(benchmark, fn):
     """Run ``fn`` exactly once under pytest-benchmark accounting."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+def count_bytecodes(fn, *args, **kwargs):
+    """Run ``fn(*args, **kwargs)``; return ``(bytecodes, result)``.
+
+    Counts every bytecode executed inside ``fn`` and everything it
+    calls, under ``sys.settrace`` with ``f_trace_opcodes`` set (as
+    ``tools/bytecode_cost.py`` does).  The count repeats exactly for a
+    deterministic simulation, so an overhead guard built on it
+    resolves a few bytecodes per event where host time on a shared
+    2-vCPU host moves by tens of percent between runs of identical
+    code.
+    """
+    count = 0
+
+    def local(_frame, event, _arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return local
+
+    def on_call(frame, _event, _arg):
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return local
+
+    sys.settrace(on_call)
+    try:
+        result = fn(*args, **kwargs)
+    finally:
+        sys.settrace(None)
+    return count, result

@@ -10,8 +10,7 @@ two sides differ only in the hook, and measures that difference three
 ways:
 
 - **bytecodes (asserted)**: each side runs a short fixed window under
-  ``sys.settrace`` with ``f_trace_opcodes`` set, as
-  ``tools/bytecode_cost.py`` does, and counts every bytecode executed
+  ``_common.count_bytecodes``, which counts every bytecode executed
   inside ``kernel.run``.  The count repeats exactly, so it resolves the
   hook's few bytecodes per wake; host time on a shared 2-vCPU host
   moves by far more than 2% between runs of identical code (an A/A
@@ -24,10 +23,9 @@ The acceptance bar: the faults-disabled kernel executes less than 2%
 more than the pre-fault hot path.
 """
 
-import sys
 import time
 
-from _common import once, write_result
+from _common import count_bytecodes, once, write_result
 
 from repro.sim import Compute, FutexWait, Kernel, Sleep
 
@@ -113,24 +111,7 @@ def _kernel(bind_prefault):
 def _counted_run(bind_prefault):
     """Bytecodes executed inside ``kernel.run`` over TRACED_US."""
     kernel = _kernel(bind_prefault)
-    count = 0
-
-    def local(_frame, event, _arg):
-        nonlocal count
-        if event == "opcode":
-            count += 1
-        return local
-
-    def on_call(frame, _event, _arg):
-        frame.f_trace_lines = False
-        frame.f_trace_opcodes = True
-        return local
-
-    sys.settrace(on_call)
-    try:
-        kernel.run(until_us=TRACED_US)
-    finally:
-        sys.settrace(None)
+    count, _ = count_bytecodes(kernel.run, until_us=TRACED_US)
     return count, kernel.stats["syscalls"]
 
 

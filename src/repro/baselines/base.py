@@ -48,13 +48,12 @@ class SolutionPolicy:
 class RequestContext:
     """Per-client context handed to policy request hooks."""
 
-    __slots__ = ("group", "client_name", "victim", "slo_us")
+    __slots__ = ("group", "client_name", "victim")
 
-    def __init__(self, group, client_name, victim=False, slo_us=None):
+    def __init__(self, group, client_name, victim=False):
         self.group = group
         self.client_name = client_name
         self.victim = victim
-        self.slo_us = slo_us
 
     def __repr__(self):
         return "RequestContext(group=%r, client=%r, victim=%r)" % (

@@ -85,8 +85,11 @@ class CaseEnv:
         """Virtual time at which clients stop issuing requests."""
         return self.duration_us
 
-    def recorder(self, name, victim=False, noisy=False, warmup=True):
-        """Create a latency recorder, tracked for result aggregation."""
+    def recorder(self, name, victim=False, noisy=False):
+        """Create a latency recorder, tracked for result aggregation.
+
+        It records from the end of the warm-up on.
+        """
         role = "victim" if victim else ("noisy" if noisy else "other")
         histogram = None
         if self.metrics is not None:
@@ -104,7 +107,7 @@ class CaseEnv:
                                          completed_at_us,
                                          nominal_us=_nominal)
         recorder = LatencyRecorder(
-            name, record_from_us=self.warmup_us if warmup else 0,
+            name, record_from_us=self.warmup_us,
             histogram=histogram, sink=sink,
         )
         if victim:
@@ -114,18 +117,20 @@ class CaseEnv:
         return recorder
 
     def spawn_client(self, name, connection, request_factory, recorder,
-                     group, victim=False, slo_us=None, think_us=0,
-                     start_us=0, stop_us=None, rng=None):
-        """Spawn a closed-loop client routed through the solution policy."""
+                     group, victim=False, think_us=0, start_us=0, rng=None):
+        """Spawn a closed-loop client routed through the solution policy.
+
+        It issues requests until the end of the run.
+        """
         self._groups.add(group)
-        ctx = RequestContext(group, name, victim=victim, slo_us=slo_us)
+        ctx = RequestContext(group, name, victim=victim)
         body = closed_loop_client(
             self.kernel,
             connection,
             request_factory,
             recorder,
             start_us=start_us,
-            stop_us=self.duration_us if stop_us is None else stop_us,
+            stop_us=self.duration_us,
             think_us=think_us,
             rng=rng,
             policy=self.policy,
@@ -239,8 +244,7 @@ def run_case(case, solution, seed=1, baseline_us=None, duration_s=None,
     steps.  The kernel runs the case's scheduler policy (``case.sched``,
     default ``"cfs"``).
     """
-    kernel = Kernel(cores=case.cores, seed=seed,
-                    sched=getattr(case, "sched", "cfs"))
+    kernel = Kernel(cores=case.cores, seed=seed, sched=case.sched)
     pbox_on = solution is Solution.PBOX
     manager = PBoxManager(kernel, enabled=pbox_on,
                           penalty_engine=penalty_engine)

@@ -31,8 +31,7 @@ def _build_harness(faults, seed, case_id):
         seed=seed, case_id=case_id)
 
 
-def _run_pbox_case(case_id, duration_s, seed, driver, harness, observer,
-                   digest):
+def _run_pbox_case(case_id, duration_s, seed, driver, harness, digest):
     """One pBox case run with ``digest`` attached; returns the CaseRun."""
     from repro.cases import Solution, get_case, run_case
     from repro.sim.thread import reset_thread_ids
@@ -43,8 +42,6 @@ def _run_pbox_case(case_id, duration_s, seed, driver, harness, observer,
         digest.attach(env.kernel.trace)
         if harness is not None:
             harness.observer(env)
-        if observer is not None:
-            observer(env)
 
     return run_case(get_case(case_id), Solution.PBOX, seed=seed,
                     duration_s=duration_s, observer=_observer,
@@ -52,8 +49,7 @@ def _run_pbox_case(case_id, duration_s, seed, driver, harness, observer,
 
 
 def checkpoint_run(case_id, duration_s=None, seed=1, cadence_us=CADENCE_US,
-                   store=None, kill_at_us=None, faults=None, barriers=None,
-                   observer=None):
+                   store=None, kill_at_us=None, faults=None, barriers=None):
     """Run ``case_id`` under pBox, checkpointing at every cadence barrier.
 
     Returns ``{"document", "run", "driver", "harness"}``; the document
@@ -76,8 +72,7 @@ def checkpoint_run(case_id, duration_s=None, seed=1, cadence_us=CADENCE_US,
     driver = CheckpointingDriver(spec, digest, cadence_us=cadence_us,
                                  store=store, kill_at_us=kill_at_us,
                                  barriers=barriers)
-    run = _run_pbox_case(case_id, duration_s, seed, driver, harness,
-                         observer, digest)
+    run = _run_pbox_case(case_id, duration_s, seed, driver, harness, digest)
     return {
         "document": digest.document(stats=golden_stats(run)),
         "run": run,
@@ -114,7 +109,7 @@ def _verify_at_cut(env, checkpoint, digest):
             % (checkpoint.cut_us, located[0], located[1], located[2]))
 
 
-def resume_case(checkpoint, barriers=None, observer=None):
+def resume_case(checkpoint):
     """Resume a checkpointed run in this process; returns the outcome.
 
     Replays the checkpoint's spec from t=0 with the same stepped
@@ -124,10 +119,9 @@ def resume_case(checkpoint, barriers=None, observer=None):
     byte-identical to the uncheckpointed run's golden document -- the
     restore-equality suite asserts this for every registry case.
 
-    ``barriers`` must be the same barrier callbacks the original run
-    used (a rule reload that happened before the cut is part of the
-    state being replayed); they keep running after the cut too, exactly
-    as the original run would have.
+    The replay runs no barrier callbacks, so it resumes runs that had
+    none: a rule reload before the cut is state the replay cannot
+    reach, and the cut check raises :class:`RestoreMismatch` on it.
     """
     from repro.obs.golden import TraceDigest, golden_stats
 
@@ -138,7 +132,6 @@ def resume_case(checkpoint, barriers=None, observer=None):
     cut_us = checkpoint.cut_us
     harness = _build_harness(spec.get("faults"), seed, case_id)
     digest = TraceDigest()
-    barriers = list(barriers or [])
     verified = []
 
     def _driver(env):
@@ -147,8 +140,6 @@ def resume_case(checkpoint, barriers=None, observer=None):
         t = cadence_us
         while t < duration_us:
             kernel.run(until_us=t)
-            for barrier in barriers:
-                barrier(env, t)
             if t == cut_us:
                 _verify_at_cut(env, checkpoint, digest)
                 verified.append(t)
@@ -156,7 +147,7 @@ def resume_case(checkpoint, barriers=None, observer=None):
         kernel.run(until_us=duration_us)
 
     run = _run_pbox_case(case_id, spec.get("duration_s"), seed, _driver,
-                         harness, observer, digest)
+                         harness, digest)
     if not verified:
         raise RestoreMismatch(
             "cut t=%dus is not a cadence barrier of this run "

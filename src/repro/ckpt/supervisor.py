@@ -1,26 +1,23 @@
 """The run supervisor: checkpoint, detect failure, resume, converge.
 
 :class:`RunSupervisor` wraps a case or chaos job with the checkpointing
-driver and the runner's hardening surfaces: the job runs under the
-wall-clock budget (:class:`~repro.runner.runner._job_alarm`, including
-its non-main-thread deadline fallback), worker crashes surface as
-:class:`~repro.ckpt.driver.WorkerKilled` carrying the last good
-checkpoint, and invariant violations are read off the attached chaos
-harness.  On failure the supervisor resumes from the last good
+driver: worker crashes surface as :class:`~repro.ckpt.driver.WorkerKilled`
+carrying the last good checkpoint, and invariant violations are read
+off the attached chaos harness.  On failure the supervisor resumes from the last good
 checkpoint (store pointer or the exception's own payload) instead of
 rerunning from zero, up to ``max_resumes`` times.
 
 Because restore is replay-verified, a supervised run's outputs are
 byte-identical to an unsupervised one: the golden document matches, and
-for chaos jobs the result dict mirrors
-:func:`~repro.runner.runner.execute_spec` field for field so the
-CHAOS.json entry digest is the same bytes -- the crash-resume suite
-asserts exactly that.
+for chaos jobs the result dict comes from the runner's own builder
+(:func:`~repro.runner.runner.job_result`), so the CHAOS.json entry
+digest is the same bytes -- the crash-resume suite asserts exactly
+that.
 """
 
 from repro.ckpt.driver import CADENCE_US, WorkerKilled
 from repro.ckpt.restore import RestoreMismatch, checkpoint_run, resume_case
-from repro.runner.runner import RESULT_VERSION, JobTimeout, _job_alarm
+from repro.runner.runner import job_result
 
 
 class SupervisorGaveUp(RuntimeError):
@@ -47,20 +44,15 @@ class RunSupervisor:
         Checkpoint cadence in virtual microseconds.
     max_resumes:
         Resume attempts before :class:`SupervisorGaveUp`.
-    timeout_s:
-        Optional per-attempt wall budget, enforced through the runner's
-        job alarm (deadline fallback off the main thread).
     """
 
-    def __init__(self, store, cadence_us=CADENCE_US, max_resumes=3,
-                 timeout_s=None):
+    def __init__(self, store, cadence_us=CADENCE_US, max_resumes=3):
         self.store = store
         self.cadence_us = cadence_us
         self.max_resumes = max_resumes
-        self.timeout_s = timeout_s
 
     def run(self, case_id, duration_s=None, seed=1, kill_at_us=None,
-            faults=None, barriers=None):
+            faults=None):
         """Run one supervised job; returns the outcome dict.
 
         The outcome carries ``document`` (golden document of the
@@ -77,30 +69,24 @@ class RunSupervisor:
         attempt_kill = kill_at_us
         while True:
             try:
-                with _job_alarm(self.timeout_s):
-                    if resumes == 0:
+                if resumes == 0:
+                    outcome = checkpoint_run(
+                        case_id, duration_s=duration_s, seed=seed,
+                        cadence_us=self.cadence_us, store=self.store,
+                        kill_at_us=attempt_kill, faults=faults)
+                else:
+                    checkpoint = self._checkpoint_for(last_error, case_id)
+                    if checkpoint is None:
+                        # Nothing to resume from (crash before the first
+                        # barrier): replay is simply a clean full run.
                         outcome = checkpoint_run(
                             case_id, duration_s=duration_s, seed=seed,
                             cadence_us=self.cadence_us, store=self.store,
-                            kill_at_us=attempt_kill, faults=faults,
-                            barriers=barriers)
+                            faults=faults)
                     else:
-                        checkpoint = self._checkpoint_for(last_error,
-                                                          case_id)
-                        if checkpoint is None:
-                            # Nothing to resume from (crash before the
-                            # first barrier): replay is simply a clean
-                            # full run.
-                            outcome = checkpoint_run(
-                                case_id, duration_s=duration_s, seed=seed,
-                                cadence_us=self.cadence_us,
-                                store=self.store, faults=faults,
-                                barriers=barriers)
-                        else:
-                            outcome = resume_case(checkpoint,
-                                                  barriers=barriers)
+                        outcome = resume_case(checkpoint)
                 break
-            except (WorkerKilled, JobTimeout, RestoreMismatch) as exc:
+            except (WorkerKilled, RestoreMismatch) as exc:
                 last_error = exc
                 resumes += 1
                 attempt_kill = None
@@ -127,32 +113,12 @@ class RunSupervisor:
         return list(getattr(harness.suite, "violations", []))
 
     def chaos_result(self, outcome):
-        """The :func:`~repro.runner.runner.execute_spec`-shaped result.
+        """The runner's result dict for a supervised outcome.
 
-        Field-for-field mirror of the runner's success payload, so
+        Built by :func:`~repro.runner.runner.job_result`, the same
+        function an unsupervised worker uses, so
         :func:`repro.faults.chaos.entry_digest` over this dict equals
         the digest of an unsupervised worker's result -- the
         crash-resume byte-identity contract.
         """
-        run = outcome["run"]
-        harness = outcome["harness"]
-        victim_count = sum(len(recorder.samples_us)
-                           for recorder in run.env.victim_recorders)
-        noisy_count = sum(len(recorder.samples_us)
-                          for recorder in run.env.noisy_recorders)
-        result = {
-            "version": RESULT_VERSION,
-            "victim_mean_us": run.victim_mean_us,
-            "victim_p95_us": run.victim_p95_us,
-            "noisy_mean_us": run.noisy_mean_us,
-            "victim_samples": victim_count,
-            "noisy_samples": noisy_count,
-            "sim_stats": dict(run.env.kernel.stats),
-            "manager_stats": dict(run.manager.stats),
-        }
-        engine = getattr(run.manager, "penalty_engine", None)
-        if engine is not None and hasattr(engine, "action_count"):
-            result["penalty_actions"] = engine.action_count()
-        if harness is not None:
-            result["chaos"] = harness.finish()
-        return result
+        return job_result(outcome["run"], outcome["harness"])

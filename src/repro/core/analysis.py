@@ -25,6 +25,11 @@ than empirical.
 
 import math
 
+#: :func:`predict_equilibrium_penalty` stops once the bracket is this
+#: close, relative to its upper end, or after this many halvings.
+BISECTION_TOLERANCE = 0.01
+BISECTION_MAX_ITERATIONS = 64
+
 
 class SingleResourceModel:
     """The paper's one-noisy/one-victim model, solved in closed form.
@@ -117,8 +122,7 @@ class SingleResourceModel:
         return penalty_us / period
 
 
-def predict_equilibrium_penalty(model, goal, tolerance=0.01,
-                                max_iterations=64):
+def predict_equilibrium_penalty(model, goal):
     """Bisection on the model: the smallest penalty meeting ``goal``.
 
     Equivalent to :meth:`SingleResourceModel.penalty_for_goal` but
@@ -132,12 +136,12 @@ def predict_equilibrium_penalty(model, goal, tolerance=0.01,
         high *= 2
         if high > 1e12:
             raise RuntimeError("goal unreachable under this model")
-    for _ in range(max_iterations):
+    for _ in range(BISECTION_MAX_ITERATIONS):
         mid = (low + high) / 2
         if model.interference_level(mid) > goal:
             low = mid
         else:
             high = mid
-        if high - low <= tolerance * max(high, 1.0):
+        if high - low <= BISECTION_TOLERANCE * max(high, 1.0):
             break
     return high

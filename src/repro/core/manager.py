@@ -29,11 +29,37 @@ from repro.core.rules import AVERAGE, TAIL
 # be attributed to a specific resource.
 PBOX_LEVEL_KEY = "__pbox_level__"
 
+#: The pBox-level detector fires when the history-averaged interference
+#: level reaches this fraction of the goal (the paper's 90%).
+NEAR_GOAL_FRACTION = 0.9
+
+#: Noise floor: a waiter only counts as a potential victim once it has
+#: accumulated this much deferring time in the activity.  The
+#: worst-case estimate tf = td/(te-td) is unstable at the start of an
+#: activity (te ~ td makes tf explode for microsecond waits); without a
+#: floor, heavyweight background activities would be "victimized" by
+#: trivial waits and the clients penalized.
+MIN_DEFER_US = 1_000
+
 #: Hard ceiling on any single delivered delay penalty, matching the
 #: adaptive engine's own clamp.  A pending penalty above this can only
 #: come from a misfire (or an injected fault); the resume hook clamps
 #: it and counts the event.
 PENALTY_CAP_US = 5_000_000
+
+# Self-healing (robustness layer): a penalized pBox whose victim keeps
+# failing to recover gets its penalties backed off (halved per backoff
+# level after HEAL_RETRY_LIMIT consecutive non-improving actions, once
+# the pair is past its first HEAL_MIN_ACTIONS actions); past
+# HEAL_MAX_BACKOFF levels the noisy pBox enters a safe-mode release --
+# penalties suspended for HEAL_COOLDOWN_US.  A pending penalty that
+# cannot find a safe point within HEAL_PENDING_TIMEOUT_US decays
+# instead of blocking forever.
+HEAL_RETRY_LIMIT = 4
+HEAL_MAX_BACKOFF = 5
+HEAL_MIN_ACTIONS = 6
+HEAL_COOLDOWN_US = 1_000_000
+HEAL_PENDING_TIMEOUT_US = 1_000_000
 
 
 class _HealState:
@@ -51,73 +77,49 @@ class _HealState:
 class PBoxManager:
     """Kernel-resident manager coordinating all pBoxes of an application.
 
+    The manager's own thresholds are the module constants above (the
+    paper fixes its 90% near-goal fraction the same way); a developer
+    configures a pBox through its isolation rule.
+
     Parameters
     ----------
     kernel:
-        The simulated kernel; the manager registers a resume hook on it
-        to deliver penalties.
+        The simulated kernel; the manager sets its resume hook to
+        deliver penalties.
     penalty_engine:
         Penalty length engine; defaults to the paper's adaptive engine.
         Pass :class:`~repro.core.penalty.FixedPenalty` for the Table 4
         ablation.
-    near_goal_fraction:
-        The pBox-level detector fires when the history-averaged
-        interference level reaches this fraction of the goal (default
-        90%, the paper's default).
     enabled:
         When False every entry point is a no-op; lets experiments run
         the exact same instrumented application with pBox "off".
+    tracer:
+        Optional bus subscriber (a :class:`~repro.core.trace.PBoxTracer`)
+        attached to the kernel's tracepoint bus at construction.
+    safe_penalty_timing, early_detection:
+        Ablation switches (DESIGN.md section 4): disabling safe penalty
+        timing applies delays even while the noisy pBox holds
+        resources; disabling early detection removes the Algorithm 1
+        UNHOLD path, leaving only the reactive end-of-activity check.
+    penalty_mode:
+        ``"delay"`` is the paper's design (an injected sleep at a safe
+        point); ``"priority"`` is the Section 7 extension (demote the
+        noisy pBox's thread in the scheduler for the penalty duration
+        instead of parking it).
     """
 
-    def __init__(self, kernel, penalty_engine=None, near_goal_fraction=0.9,
-                 min_defer_us=1_000, enabled=True, tracer=None,
-                 safe_penalty_timing=True, early_detection=True,
-                 penalty_mode="delay", self_heal=True,
-                 penalty_cap_us=PENALTY_CAP_US, heal_retry_limit=4,
-                 heal_max_backoff=5, heal_min_actions=6,
-                 heal_cooldown_us=1_000_000,
-                 heal_pending_timeout_us=1_000_000):
+    def __init__(self, kernel, penalty_engine=None, enabled=True,
+                 tracer=None, safe_penalty_timing=True,
+                 early_detection=True, penalty_mode="delay"):
         self.kernel = kernel
         self.penalty_engine = penalty_engine or AdaptivePenalty()
-        self.near_goal_fraction = near_goal_fraction
         self.tracer = tracer
-        # Ablation switches (DESIGN.md section 4): disabling safe
-        # penalty timing applies delays even while the noisy pBox holds
-        # resources; disabling early detection removes the Algorithm 1
-        # UNHOLD path, leaving only the reactive end-of-activity check.
         self.safe_penalty_timing = safe_penalty_timing
         self.early_detection = early_detection
-        # Penalty mechanism: "delay" is the paper's design (an injected
-        # sleep at a safe point); "priority" is the Section 7 extension
-        # (demote the noisy pBox's thread in the scheduler for the
-        # penalty duration instead of parking it).
         if penalty_mode not in ("delay", "priority"):
             raise ValueError("unknown penalty mode %r" % penalty_mode)
         self.penalty_mode = penalty_mode
-        # Noise floor: a waiter only counts as a potential victim once it
-        # has accumulated this much deferring time in the activity.  The
-        # worst-case estimate tf = td/(te-td) is unstable at the start of
-        # an activity (te ~ td makes tf explode for microsecond waits);
-        # without a floor, heavyweight background activities would be
-        # "victimized" by trivial waits and the clients penalized.
-        self.min_defer_us = min_defer_us
         self.enabled = enabled
-        # Self-healing (robustness layer): a penalized pBox whose victim
-        # keeps failing to recover gets its penalties backed off
-        # (halved per backoff level after ``heal_retry_limit``
-        # consecutive non-improving actions); past ``heal_max_backoff``
-        # levels the noisy pBox enters a safe-mode release -- penalties
-        # suspended for ``heal_cooldown_us``.  A pending penalty that
-        # cannot find a safe point within ``heal_pending_timeout_us``
-        # decays instead of blocking forever, and any pending amount
-        # above ``penalty_cap_us`` (a misfire) is clamped.
-        self.self_heal = self_heal
-        self.penalty_cap_us = penalty_cap_us
-        self.heal_retry_limit = heal_retry_limit
-        self.heal_max_backoff = heal_max_backoff
-        self.heal_min_actions = heal_min_actions
-        self.heal_cooldown_us = heal_cooldown_us
-        self.heal_pending_timeout_us = heal_pending_timeout_us
         self._heal_trend = {}        # (noisy psid, victim psid) -> _HealState
         self._safe_until = {}        # noisy psid -> safe-mode end time
         self._pboxes = {}
@@ -405,7 +407,7 @@ class PBoxManager:
                 continue
             open_defer = now - entry.time_us
             total_defer = waiter.defer_time_us + open_defer
-            if total_defer < self.min_defer_us:
+            if total_defer < MIN_DEFER_US:
                 continue
             tf = waiter.interference_level(now, extra_defer_us=open_defer)
             if tf > waiter.rule.goal and hold_start_us < entry.time_us:
@@ -426,7 +428,7 @@ class PBoxManager:
         """Freeze-time detection over the activity history (Section 4.3.1).
 
         Uses the rule's metric (average by default) and fires when within
-        ``near_goal_fraction`` of the goal, acting on the most-blamed
+        ``NEAR_GOAL_FRACTION`` of the goal, acting on the most-blamed
         (noisy pBox, key) pair recorded during recent activities.
         """
         metric = pbox.rule.metric
@@ -436,11 +438,11 @@ class PBoxManager:
             level = pbox.tail_interference_level()
         else:
             level = pbox.max_interference_level()
-        if level < self.near_goal_fraction * pbox.rule.goal:
+        if level < NEAR_GOAL_FRACTION * pbox.rule.goal:
             return
         if not pbox.blame:
             return
-        if pbox.history and pbox.history[-1].defer_us < self.min_defer_us:
+        if pbox.history and pbox.history[-1].defer_us < MIN_DEFER_US:
             return
         (noisy_psid, key), blamed_defer = max(
             pbox.blame.items(), key=lambda kv: kv[1]
@@ -472,21 +474,19 @@ class PBoxManager:
         if not self.enabled or noisy is victim:
             return
         now = self.kernel.now_us
-        if self.self_heal and now < self._safe_until.get(noisy.psid, 0):
+        if now < self._safe_until.get(noisy.psid, 0):
             return  # safe-mode release: penalties suspended for cooldown
         if noisy.pending_penalty_us > 0:
             return  # a penalty is already queued and not yet served
         if noisy.shared_thread and now < noisy.penalty_until_us:
             return
-        backoff = 0
-        if self.self_heal:
-            backoff = self._heal_observe(noisy, victim, now)
-            if backoff is None:
-                return  # safe mode engaged on this observation
+        backoff = self._heal_observe(noisy, victim, now)
+        if backoff is None:
+            return  # safe mode engaged on this observation
         decision = self.penalty_engine.decide(
             now, noisy, victim, key, victim_defer_us=victim_defer_us
         )
-        length_us = min(decision.length_us, self.penalty_cap_us)
+        length_us = min(decision.length_us, PENALTY_CAP_US)
         if backoff:
             length_us >>= backoff
         self.stats["actions"] += 1
@@ -526,12 +526,12 @@ class PBoxManager:
         the next penalty, or ``None`` when this observation tipped the
         pair into a safe-mode release.  An action "fails" when the
         victim's interference level neither improved since the previous
-        action nor sits anywhere near its goal; ``heal_retry_limit``
+        action nor sits anywhere near its goal; ``HEAL_RETRY_LIMIT``
         consecutive failures raise the backoff level (penalties halve per
-        level), and past ``heal_max_backoff`` levels the penalties are
+        level), and past ``HEAL_MAX_BACKOFF`` levels the penalties are
         evidently not the lever that helps this victim -- suspend them
         entirely for a cooldown instead of pounding a pBox to no effect.
-        The first ``heal_min_actions`` actions are a grace period: the
+        The first ``HEAL_MIN_ACTIONS`` actions are a grace period: the
         adaptive engine needs a few decisions to converge.
         """
         pair = (noisy.psid, victim.psid)
@@ -544,7 +544,7 @@ class PBoxManager:
         state.actions += 1
         previous = state.last_level
         state.last_level = level
-        if previous is None or state.actions <= self.heal_min_actions:
+        if previous is None or state.actions <= HEAL_MIN_ACTIONS:
             return state.backoff
         improved = level < previous * 0.98
         recovered = level <= victim.rule.goal * 2
@@ -554,17 +554,17 @@ class PBoxManager:
                 state.backoff -= 1
             return state.backoff
         state.fails += 1
-        if state.fails < self.heal_retry_limit:
+        if state.fails < HEAL_RETRY_LIMIT:
             return state.backoff
         state.fails = 0
         state.backoff += 1
-        if state.backoff > self.heal_max_backoff:
+        if state.backoff > HEAL_MAX_BACKOFF:
             state.backoff = 0
-            self._safe_until[noisy.psid] = now + self.heal_cooldown_us
+            self._safe_until[noisy.psid] = now + HEAL_COOLDOWN_US
             self.stats["safe_mode_releases"] += 1
             if self._tp_heal.active:
                 self._tp_heal.fire(now, psid=noisy.psid, action="safe-mode",
-                                   detail=self.heal_cooldown_us)
+                                   detail=HEAL_COOLDOWN_US)
             return None
         self.stats["penalty_backoffs"] += 1
         if self._tp_heal.active:
@@ -609,35 +609,34 @@ class PBoxManager:
         pbox = thread.pbox
         if pbox is None or pbox.pending_penalty_us <= 0:
             return 0
-        if pbox.pending_penalty_us > self.penalty_cap_us:
+        if pbox.pending_penalty_us > PENALTY_CAP_US:
             # Out-of-policy pending amount: the engine clamps its own
             # decisions, so this is a misfire (or an injected fault).
             # Bound it rather than parking the thread for an unbounded
             # stretch -- "penalties always bounded" is an invariant.
-            pbox.pending_penalty_us = self.penalty_cap_us
+            pbox.pending_penalty_us = PENALTY_CAP_US
             self.stats["penalty_clamped"] += 1
             if self._tp_heal.active:
                 self._tp_heal.fire(self.kernel.now_us, psid=pbox.psid,
                                    action="clamp",
-                                   detail=self.penalty_cap_us)
+                                   detail=PENALTY_CAP_US)
         if self.safe_penalty_timing and pbox.holding_anything:
-            if self.self_heal:
-                now = self.kernel.now_us
-                if now - pbox.pending_since_us > self.heal_pending_timeout_us:
-                    # No safe point materialized for a whole timeout (the
-                    # pBox re-acquires before every resume): decay the
-                    # stuck penalty toward a full revert instead of
-                    # letting it shadow the pBox forever.
-                    pbox.pending_penalty_us >>= 1
-                    pbox.pending_since_us = now
-                    self.stats["penalty_reverts"] += 1
-                    if pbox.pending_penalty_us < 1_000:
-                        pbox.pending_penalty_us = 0
-                        pbox.pending_penalty_flow = None
-                    if self._tp_heal.active:
-                        self._tp_heal.fire(now, psid=pbox.psid,
-                                           action="revert",
-                                           detail=pbox.pending_penalty_us)
+            now = self.kernel.now_us
+            if now - pbox.pending_since_us > HEAL_PENDING_TIMEOUT_US:
+                # No safe point materialized for a whole timeout (the
+                # pBox re-acquires before every resume): decay the
+                # stuck penalty toward a full revert instead of letting
+                # it shadow the pBox forever.
+                pbox.pending_penalty_us >>= 1
+                pbox.pending_since_us = now
+                self.stats["penalty_reverts"] += 1
+                if pbox.pending_penalty_us < 1_000:
+                    pbox.pending_penalty_us = 0
+                    pbox.pending_penalty_flow = None
+                if self._tp_heal.active:
+                    self._tp_heal.fire(now, psid=pbox.psid,
+                                       action="revert",
+                                       detail=pbox.pending_penalty_us)
             return 0  # Section 4.4.1: never delay a resource holder
         delay = pbox.pending_penalty_us
         pbox.pending_penalty_us = 0

@@ -25,6 +25,11 @@ one-noisy/one-victim model::
 import enum
 import math
 
+#: An action only counts as effective if it reduced the victim's defer
+#: ratio by at least this relative margin; "did not reduce the
+#: interference level" includes leaving it unchanged.
+SCORE_EPSILON = 0.01
+
 
 class PenaltyPolicy(enum.Enum):
     """Which adaptive policy produced a decision."""
@@ -83,16 +88,11 @@ class AdaptivePenalty:
     """
 
     def __init__(self, alpha=5, gap_policy_factor=5,
-                 min_penalty_us=1_000, max_penalty_us=5_000_000,
-                 score_epsilon=0.01):
+                 min_penalty_us=1_000, max_penalty_us=5_000_000):
         self.alpha = alpha
         self.gap_policy_factor = gap_policy_factor
         self.min_penalty_us = min_penalty_us
         self.max_penalty_us = max_penalty_us
-        # An action only counts as effective if it reduced the victim's
-        # defer ratio by at least this relative margin; "did not reduce
-        # the interference level" includes leaving it unchanged.
-        self.score_epsilon = score_epsilon
         self._pairs = {}
         self.decisions = []
 
@@ -145,7 +145,7 @@ class AdaptivePenalty:
     def _score_based(self, state, ratio):
         reduced = (
             state.last_ratio is not None
-            and ratio <= state.last_ratio * (1.0 - self.score_epsilon)
+            and ratio <= state.last_ratio * (1.0 - SCORE_EPSILON)
         )
         if state.last_ratio is not None and not reduced:
             state.score += 1            # last action was ineffective

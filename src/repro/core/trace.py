@@ -14,6 +14,9 @@ from collections import Counter, deque
 
 from repro.obs.tracepoints import key_label
 
+#: How many entries each ranking helper returns.
+TOP_N = 5
+
 
 class TraceRecord:
     """One traced occurrence."""
@@ -169,17 +172,17 @@ class PBoxTracer:
         # a resource key the same way (None, tuples, named objects).
         return key_label(key)
 
-    def top_contended_resources(self, n=5):
+    def top_contended_resources(self):
         """Resources ranked by penalty actions taken over them."""
-        return self.actions_by_key.most_common(n)
+        return self.actions_by_key.most_common(TOP_N)
 
-    def top_noisy_pboxes(self, n=5):
+    def top_noisy_pboxes(self):
         """pBoxes ranked by total penalty delay absorbed."""
-        return self.penalty_us_by_psid.most_common(n)
+        return self.penalty_us_by_psid.most_common(TOP_N)
 
-    def recurring_pairs(self, n=5):
+    def recurring_pairs(self):
         """(noisy psid, victim psid) pairs ranked by detections."""
-        return self.detections_by_pair.most_common(n)
+        return self.detections_by_pair.most_common(TOP_N)
 
     def summary(self):
         """Aggregate dictionary for programmatic inspection."""

@@ -184,8 +184,7 @@ def _compact_entry(entry):
 
 def run_chaos(case_ids=None, kinds=DEFAULT_CHAOS_FAULTS, seeds=(1, 2, 3),
               duration_s=3.0, jobs=1, cache=None, use_cache=True,
-              progress=None, fingerprint=None, timeout_s=None,
-              run_stats=None):
+              progress=None, timeout_s=None, run_stats=None):
     """Run the chaos matrix; returns a :class:`ChaosResult`.
 
     Raises :class:`ChaosInterrupted` on Ctrl-C with the completed
@@ -199,8 +198,7 @@ def run_chaos(case_ids=None, kinds=DEFAULT_CHAOS_FAULTS, seeds=(1, 2, 3),
         case_ids = sweep_case_ids()
     kinds = list(kinds)
     seeds = list(seeds)
-    if fingerprint is None:
-        fingerprint = code_fingerprint()
+    fingerprint = code_fingerprint()
     if use_cache and cache is None:
         cache = ResultCache()
     started = time.perf_counter()

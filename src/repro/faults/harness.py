@@ -26,15 +26,17 @@ WINDOW_END_FRACTION = 0.9
 
 
 class ChaosHarness:
-    """Fault plan + injector + invariants + watchdog for one run."""
+    """Fault plan + injector + invariants + watchdog for one run.
 
-    def __init__(self, kinds, seed, case_id=None, faults_per_kind=2,
-                 watchdog_period_us=50_000):
+    The plan carries :meth:`FaultPlan.generate`'s default count of
+    faults per kind, and the watchdog ticks at
+    :class:`~repro.sim.kernel.IdleWatchdog`'s default period.
+    """
+
+    def __init__(self, kinds, seed, case_id=None):
         self.kinds = tuple(kinds)
         self.seed = int(seed)
         self.case_id = case_id
-        self.faults_per_kind = faults_per_kind
-        self.watchdog_period_us = watchdog_period_us
         self.suite = InvariantSuite()
         self.plan = None
         self.injector = None
@@ -55,13 +57,11 @@ class ChaosHarness:
         start_us = env.warmup_us + int(window * WINDOW_SLACK_FRACTION)
         end_us = int(env.duration_us * WINDOW_END_FRACTION)
         self.plan = FaultPlan.generate(
-            self.kinds, seed=self.seed, start_us=start_us, end_us=end_us,
-            count_per_kind=self.faults_per_kind)
+            self.kinds, seed=self.seed, start_us=start_us, end_us=end_us)
         self.injector = FaultInjector(kernel, manager=manager)
         self.injector.arm(self.plan)
-        self.watchdog = IdleWatchdog(
-            kernel, period_us=self.watchdog_period_us,
-            on_deadlock=self.suite.on_deadlock)
+        self.watchdog = IdleWatchdog(kernel,
+                                     on_deadlock=self.suite.on_deadlock)
         self.watchdog.arm(env.duration_us)
         self.suite.attach(kernel, manager)
 

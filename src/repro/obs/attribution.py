@@ -365,12 +365,11 @@ class AttributionProfiler:
     are identical to online processing.
     """
 
-    def __init__(self, max_cycle_warnings=32):
+    def __init__(self):
         self._matrix = BlameMatrix()
-        self._pbox_graph = WaitForGraph(max_warnings=max_cycle_warnings)
-        self._thread_graph = WaitForGraph(max_warnings=max_cycle_warnings)
+        self._pbox_graph = WaitForGraph()
+        self._thread_graph = WaitForGraph()
         self._pbox_names = {}      # psid -> display name
-        self._thread_pbox = {}     # tid -> psid (creation-time binding)
         self._stats = {
             "events": 0,
             "waits_recorded": 0,
@@ -518,12 +517,6 @@ class AttributionProfiler:
         return self._pbox_names
 
     @property
-    def thread_pbox(self):
-        """``{tid: psid}`` creation-time bindings (replays first)."""
-        self._drain()
-        return self._thread_pbox
-
-    @property
     def stats(self):
         """Event-processing counters (replays pending records first)."""
         self._drain()
@@ -554,9 +547,6 @@ class AttributionProfiler:
         name = fields.get("name")
         if name:
             self._pbox_names[psid] = name
-        tid = fields.get("tid")
-        if tid is not None:
-            self._thread_pbox[tid] = psid
         self._matrix.note_time(now)
 
     def _replay_release(self, rec):

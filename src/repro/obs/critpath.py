@@ -55,6 +55,9 @@ MAX_LIVE_SEGMENTS = 512
 #: Segments retained per completed request (longest first).
 KEPT_SEGMENTS = 12
 
+#: Most recent completions retained per tenant.
+RECENT_PER_TENANT = 64
+
 
 class RequestTrace:
     """One completed request's decomposed timeline."""
@@ -157,14 +160,13 @@ class CritPathTracer:
     ----------
     slowest:
         Slowest requests retained per tenant (a min-heap by latency).
-    recent:
-        Most recent completions retained per tenant, for breach-window
-        explanations (:meth:`explain`).
+
+    The last ``RECENT_PER_TENANT`` completions of each tenant are kept
+    too, for breach-window explanations (:meth:`explain`).
     """
 
-    def __init__(self, slowest=32, recent=64):
+    def __init__(self, slowest=32):
         self.slowest_k = slowest
-        self.recent_k = recent
         self._pending = []         # raw record log, tag-first tuples
         self._live_tids = set()    # record-time filter for sched events
         self._rid_tid = {}         # replay: rid -> tid (pool joins)
@@ -461,7 +463,7 @@ class CritPathTracer:
         self._counts[tenant] = self._counts.get(tenant, 0) + 1
         recent = self._recent.setdefault(tenant, [])
         recent.append(trace)
-        if len(recent) > self.recent_k:
+        if len(recent) > RECENT_PER_TENANT:
             del recent[0]
         heap = self._slowest.setdefault(tenant, [])
         self._seq += 1
@@ -485,11 +487,9 @@ class CritPathTracer:
             return "pbox-%s" % (holder,)
         return "%s (pbox %s)" % (name, holder)
 
-    def completed_count(self, tenant=None):
-        """Completed traced requests (optionally one tenant's)."""
+    def completed_count(self):
+        """Completed traced requests, over every tenant."""
         self._drain()
-        if tenant is not None:
-            return self._counts.get(tenant, 0)
         return sum(self._counts.values())
 
     def tenants(self):

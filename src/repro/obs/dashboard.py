@@ -13,14 +13,26 @@ import html
 
 _SPARKS = "▁▂▃▄▅▆▇█"
 
+#: Terminal frame: rule width, sparkline cells, tenant rows and
+#: trailing SLO events shown.
+FRAME_WIDTH = 78
+SPARK_WIDTH = 60
+FRAME_TENANTS = 12
+FRAME_EVENTS = 5
 
-def sparkline(values, width=60):
-    """Unicode sparkline of ``values``, resampled to ``width`` cells."""
+#: HTML chart viewBox size and line colour.
+CHART_WIDTH = 640
+CHART_HEIGHT = 90
+CHART_COLOR = "#2563eb"
+
+
+def sparkline(values):
+    """Unicode sparkline of ``values``, resampled to ``SPARK_WIDTH`` cells."""
     if not values:
         return ""
-    if len(values) > width:
+    if len(values) > SPARK_WIDTH:
         # Max-pool each cell so spikes survive the resample.
-        factor = -(-len(values) // width)
+        factor = -(-len(values) // SPARK_WIDTH)
         values = [max(values[i:i + factor])
                   for i in range(0, len(values), factor)]
     top = max(values)
@@ -44,17 +56,16 @@ def _fmt_us(us):
     return "%dus" % us
 
 
-def render_frame(snapshot, width=78, max_tenants=12, max_events=5):
+def render_frame(snapshot):
     """One terminal frame (plain text, no escape codes)."""
     rows = snapshot["rows"]
     columns = snapshot["columns"]
     lines = []
     lines.append("repro telemetry  t=%s  windows=%d  tenants=%d" % (
         _fmt_us(snapshot["now_us"]), len(rows), len(snapshot["tenants"])))
-    lines.append("=" * min(width, 78))
+    lines.append("=" * FRAME_WIDTH)
 
     if rows:
-        spark_width = min(width - 18, 60)
         for label, name in (("req/win", "requests"),
                             ("p95 us", "p95_us"),
                             ("penalties", "penalties"),
@@ -62,7 +73,7 @@ def render_frame(snapshot, width=78, max_tenants=12, max_events=5):
                             ("breached", "breached")):
             series = _column(rows, columns, name)
             lines.append("%-10s %s %8d" % (
-                label, sparkline(series, spark_width), series[-1]))
+                label, sparkline(series), series[-1]))
     else:
         lines.append("(no closed windows yet)")
 
@@ -70,14 +81,14 @@ def render_frame(snapshot, width=78, max_tenants=12, max_events=5):
     lines.append("%-10s %8s %6s %9s %9s %9s %6s %6s %s" % (
         "tenant", "reqs", "bad", "p50", "p95", "wait95",
         "burn", "long", "slo"))
-    for entry in snapshot["tenants"][:max_tenants]:
+    for entry in snapshot["tenants"][:FRAME_TENANTS]:
         lines.append("%-10s %8d %6d %9s %9s %9s %6.2f %6.2f %s" % (
             entry["tenant"], entry["requests"], entry["bad"],
             _fmt_us(entry["p50_us"]), _fmt_us(entry["p95_us"]),
             _fmt_us(entry["wait_p95_us"]),
             entry["burn_short"], entry["burn_long"],
             "BREACH" if entry["breached"] else "ok"))
-    hidden = len(snapshot["tenants"]) - max_tenants
+    hidden = len(snapshot["tenants"]) - FRAME_TENANTS
     if hidden > 0:
         lines.append("... %d more tenants" % hidden)
 
@@ -85,7 +96,7 @@ def render_frame(snapshot, width=78, max_tenants=12, max_events=5):
     if events:
         lines.append("")
         lines.append("slo events (%d total):" % len(events))
-        for event in events[-max_events:]:
+        for event in events[-FRAME_EVENTS:]:
             if event["kind"] == "breach":
                 lines.append("  %s BREACH %s burn=%.1f/%.1f" % (
                     _fmt_us(event["time_us"]), event["tenant"],
@@ -97,22 +108,23 @@ def render_frame(snapshot, width=78, max_tenants=12, max_events=5):
     return "\n".join(lines)
 
 
-def _svg_chart(title, values, width=640, height=90, color="#2563eb"):
+def _svg_chart(title, values):
     """One inline SVG line chart for a numeric series."""
     if not values:
         return ""
     top = max(max(values), 1)
     n = max(len(values) - 1, 1)
     points = " ".join(
-        "%.1f,%.1f" % (index * width / n,
-                       height - value * (height - 4) / top - 2)
+        "%.1f,%.1f" % (index * CHART_WIDTH / n,
+                       CHART_HEIGHT - value * (CHART_HEIGHT - 4) / top - 2)
         for index, value in enumerate(values))
     return (
         '<div class="chart"><h3>%s <span>max %s</span></h3>'
         '<svg viewBox="0 0 %d %d" preserveAspectRatio="none">'
         '<polyline fill="none" stroke="%s" stroke-width="1.5" '
         'points="%s"/></svg></div>'
-        % (html.escape(title), top, width, height, color, points))
+        % (html.escape(title), top, CHART_WIDTH, CHART_HEIGHT, CHART_COLOR,
+           points))
 
 
 _HTML_STYLE = """

@@ -87,9 +87,9 @@ class QuantileSketch(Histogram):
         }
 
     @classmethod
-    def from_compact(cls, data, name="sketch"):
+    def from_compact(cls, data):
         """Rebuild a sketch from :meth:`to_compact` output."""
-        sketch = cls(name)
+        sketch = cls()
         index = 0
         for position, delta in enumerate(data["b"]):
             index = delta if position == 0 else index + delta
@@ -109,9 +109,9 @@ class QuantileSketch(Histogram):
         return self.count
 
 
-def merge_all(sketches, name="merged"):
+def merge_all(sketches):
     """Merge an iterable of sketches into a fresh one."""
-    merged = QuantileSketch(name)
+    merged = QuantileSketch("merged")
     for sketch in sketches:
         merged.merge(sketch)
     return merged

@@ -30,7 +30,7 @@ the canonical tracepoint stream carries zero telemetry traffic.
 import json
 import re
 
-from repro.obs.sketch import QuantileSketch, merge_all
+from repro.obs.sketch import QuantileSketch
 from repro.obs.slo import SLOEvaluator
 
 #: Schema version of the telemetry document emitted by
@@ -39,6 +39,13 @@ TELEMETRY_SCHEMA = 1
 
 #: Default virtual-time window width.
 WINDOW_US = 100_000
+
+#: Most series rows :meth:`TelemetryPipeline.to_json_dict` keeps before
+#: coalescing adjacent windows.
+MAX_ROWS = 240
+
+#: Slowest requests per breach explanation (:class:`BreachExplainer`).
+EXPLAIN_TOP = 3
 
 #: Columns of the windowed time-series rows, in row order.
 SERIES_COLUMNS = (
@@ -106,13 +113,10 @@ class TenantTelemetry:
 class TelemetryPipeline:
     """The always-on telemetry subscriber for one kernel."""
 
-    def __init__(self, window_us=WINDOW_US, evaluator=None,
-                 emit_events=True):
+    def __init__(self, window_us=WINDOW_US, evaluator=None):
         self.window_us = window_us
         #: SLOEvaluator or None (None: windows and sketches only).
         self.evaluator = evaluator
-        #: Fire slo.* tracepoints on transitions (off for overhead A/B).
-        self.emit_events = emit_events
         self.tenants = {}            # tenant -> TenantTelemetry
         self.rows = []               # closed windows, SERIES_COLUMNS order
         self.slo_events = []         # transition dicts, in firing order
@@ -304,7 +308,7 @@ class TelemetryPipeline:
         self._win_active = set()
         for event in breach_events:
             self.slo_events.append(event)
-            if self.emit_events and self._bus is not None:
+            if self._bus is not None:
                 point = (self._tp_breach if event["kind"] == "breach"
                          else self._tp_recover)
                 fields = {key: value for key, value in event.items()
@@ -324,13 +328,6 @@ class TelemetryPipeline:
         return self
 
     # -- views -----------------------------------------------------------
-
-    def merged_sketch(self, which="latency"):
-        """All tenants' ``which`` sketches merged (order-independent)."""
-        return merge_all(
-            (getattr(self.tenants[tenant], which)
-             for tenant in sorted(self.tenants)),
-            name="%s.all" % which)
 
     def snapshot(self):
         """Live view for the dashboard renderers."""
@@ -365,8 +362,7 @@ class TelemetryPipeline:
 
     # -- serialization (budgeted) ----------------------------------------
 
-    def to_json_dict(self, budget_bytes=None, max_rows=240,
-                     max_tenants=12):
+    def to_json_dict(self, budget_bytes=None, max_tenants=12):
         """Compact JSON document, optionally squeezed under a byte cap.
 
         Determinism of the squeeze matters as much as the size: the
@@ -376,6 +372,7 @@ class TelemetryPipeline:
         always serialize identically.  ``dropped`` records what was
         coarsened so readers know the document is a summary.
         """
+        max_rows = MAX_ROWS
         while True:
             doc = self._document(max_rows, max_tenants)
             if budget_bytes is None:
@@ -468,16 +465,13 @@ class BreachExplainer:
     ----------
     tracer:
         An attached :class:`~repro.obs.critpath.CritPathTracer`.
-    top:
-        Requests per explanation (the ISSUE's "top-3").
     window_us:
         Breach window looked at, ending at the breach time; defaults to
         the burn-rate policy's short horizon (3 telemetry windows).
     """
 
-    def __init__(self, tracer, top=3, window_us=3 * WINDOW_US):
+    def __init__(self, tracer, window_us=3 * WINDOW_US):
         self.tracer = tracer
-        self.top = top
         self.window_us = window_us
         self.explanations = []   # [{"tenant", "at_us", "top"}]
         self._bus = None
@@ -500,7 +494,8 @@ class BreachExplainer:
     def _on_breach(self, _name, now, fields):
         tenant = fields.get("tenant")
         top = self.tracer.explain(tenant, until_us=now,
-                                  window_us=self.window_us, top=self.top)
+                                  window_us=self.window_us,
+                                  top=EXPLAIN_TOP)
         record = {"tenant": tenant, "at_us": now,
                   "top": [list(entry) for entry in top]}
         self.explanations.append(record)

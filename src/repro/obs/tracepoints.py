@@ -204,9 +204,9 @@ class TracepointBus:
             self.point(name).subscribe(fn)
         return fn
 
-    def unsubscribe_all(self, fn, names=None):
+    def unsubscribe_all(self, fn):
         """Remove ``fn`` wherever it is subscribed."""
-        for name in (names if names is not None else list(self._points)):
+        for name in list(self._points):
             self.unsubscribe(name, fn)
 
     def __repr__(self):

@@ -141,23 +141,30 @@ def execute_spec(spec_dict):
             "chaos": harness.finish(),
         }
 
-    victim_count = sum(len(recorder.samples_us)
-                       for recorder in run.env.victim_recorders)
-    noisy_count = sum(len(recorder.samples_us)
-                      for recorder in run.env.noisy_recorders)
+    return job_result(run, harness)
+
+
+def job_result(run, harness):
+    """The result dict of one completed case run.
+
+    The one builder of a job's success payload: the run supervisor
+    returns it too, so :func:`repro.faults.chaos.entry_digest` over a
+    supervised chaos job equals the digest of an unsupervised worker's
+    result -- the crash-resume byte-identity contract.
+    """
     result = {
         "version": RESULT_VERSION,
         "victim_mean_us": run.victim_mean_us,
         "victim_p95_us": run.victim_p95_us,
         "noisy_mean_us": run.noisy_mean_us,
-        "victim_samples": victim_count,
-        "noisy_samples": noisy_count,
+        "victim_samples": sum(len(recorder.samples_us)
+                              for recorder in run.env.victim_recorders),
+        "noisy_samples": sum(len(recorder.samples_us)
+                             for recorder in run.env.noisy_recorders),
         "sim_stats": dict(run.env.kernel.stats),
         "manager_stats": dict(run.manager.stats),
+        "penalty_actions": run.manager.penalty_engine.action_count(),
     }
-    engine = getattr(run.manager, "penalty_engine", None)
-    if engine is not None and hasattr(engine, "action_count"):
-        result["penalty_actions"] = engine.action_count()
     if harness is not None:
         result["chaos"] = harness.finish()
     return result

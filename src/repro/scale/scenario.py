@@ -34,6 +34,9 @@ from repro.workloads.traces import sample_duration
 #: Worker threads per tenant (one of which is the connection client).
 WORKERS_PER_TENANT = 20
 
+#: Virtual time between a tenant notifier's broadcasts.
+NOTIFY_PERIOD_US = 1_000
+
 #: Approximate uncontended request latency per (app kind, role), used
 #: as the slowdown denominator for SLO telemetry.  Derived from the
 #: request factories below (service work plus fixed per-request model
@@ -59,24 +62,24 @@ class ScaleSpec:
     """Parameters of one scale point.
 
     ``threads`` is the total worker population; tenants are derived as
-    ``threads // workers_per_tenant`` so the pBox count grows with the
+    ``threads // WORKERS_PER_TENANT`` so the pBox count grows with the
     thread count: two connection pBoxes per tenant means 10 pBoxes at
     the bottom of the sweep (100 threads) and 1,000 at the top (10,000
     threads) -- past the 500 the paper's manager was sized for.
-    ``cores`` defaults to an oversubscribed many-core host: enough
-    cores that the scheduler, not an artificially tiny CPU, is what's
-    being measured.
+    ``cores`` is an oversubscribed many-core host
+    (:func:`default_cores`): enough cores that the scheduler, not an
+    artificially tiny CPU, is what's being measured.
     """
 
-    def __init__(self, threads, workers_per_tenant=WORKERS_PER_TENANT,
-                 cores=None, duration_us=None, seed=1, manager_enabled=True,
-                 event_budget=250_000, sched="cfs", families=None):
-        if threads < workers_per_tenant:
+    def __init__(self, threads, duration_us=None, seed=1,
+                 manager_enabled=True, event_budget=250_000, sched="cfs",
+                 families=None):
+        if threads < WORKERS_PER_TENANT:
             raise ValueError("need at least one tenant's worth of threads")
         self.threads = threads
-        self.workers_per_tenant = workers_per_tenant
-        self.tenants = threads // workers_per_tenant
-        self.cores = cores if cores is not None else default_cores(threads)
+        self.workers_per_tenant = WORKERS_PER_TENANT
+        self.tenants = threads // WORKERS_PER_TENANT
+        self.cores = default_cores(threads)
         self.seed = seed
         self.manager_enabled = manager_enabled
         self.event_budget = event_budget
@@ -90,13 +93,6 @@ class ScaleSpec:
         if duration_us is None:
             duration_us = duration_for_budget(self.cores, event_budget)
         self.duration_us = duration_us
-
-    def describe(self):
-        return ("%d threads / %d tenants / %d cores / %.0f ms virtual"
-                " / sched=%s / %d families"
-                % (self.threads, self.tenants, self.cores,
-                   self.duration_us / 1_000, self.sched,
-                   len(self.families)))
 
 
 def default_cores(threads):
@@ -304,14 +300,14 @@ def _cv_waiter_body(wait, compute):
         yield compute
 
 
-def _cv_notifier_body(key, rng, stop_us, period_us=1_000):
+def _cv_notifier_body(key, rng, stop_us):
     """The tenant's dispatcher: periodically broadcasts to its pool."""
     now_call = Now()
     broadcast = FutexWake(key, n=1_000_000)  # wake-all
-    pause = Sleep(us=period_us)
+    pause = Sleep(us=NOTIFY_PERIOD_US)
 
     def body():
-        yield Sleep(us=rng.randint(0, period_us))
+        yield Sleep(us=rng.randint(0, NOTIFY_PERIOD_US))
         while True:
             now = yield now_call
             if now >= stop_us:
@@ -348,8 +344,7 @@ def build_scale_scenario(spec, kernel_binder=None, telemetry=None):
     tagged ``t<N>`` with the role's nominal latency as the slowdown
     denominator.
     """
-    kernel = Kernel(cores=spec.cores, seed=spec.seed,
-                    sched=getattr(spec, "sched", "cfs"))
+    kernel = Kernel(cores=spec.cores, seed=spec.seed, sched=spec.sched)
     # One manager for every tenant, as in the paper: each tenant's
     # resource keys are its own server instance's objects, so tenants
     # never share a competitor-map entry.
@@ -363,7 +358,7 @@ def build_scale_scenario(spec, kernel_binder=None, telemetry=None):
     scenario = ScaleScenario(spec, kernel, manager, runtime)
     scenario.telemetry = telemetry
     stop_us = spec.duration_us
-    families = getattr(spec, "families", APP_KINDS)
+    families = spec.families
     # Every cv waiter's slice of work, one object for all of them.
     cv_compute = Compute(us=150)
     for tenant in range(spec.tenants):

@@ -138,7 +138,6 @@ def default_scale_evaluator():
 
 
 def collect_scale_telemetry(threads, seed=1, event_budget=250_000,
-                            budget_bytes=TELEMETRY_BUDGET_BYTES,
                             sched="cfs", families=None):
     """One untimed telemetry run of a sweep point; returns the section.
 
@@ -155,7 +154,7 @@ def collect_scale_telemetry(threads, seed=1, event_budget=250_000,
     pipeline = TelemetryPipeline(evaluator=default_scale_evaluator())
     scenario = build_scale_scenario(spec, telemetry=pipeline)
     scenario.run()
-    return pipeline.to_json_dict(budget_bytes=budget_bytes)
+    return pipeline.to_json_dict(budget_bytes=TELEMETRY_BUDGET_BYTES)
 
 
 def measure_scale_point(threads, seed=1, event_budget=250_000, rounds=2,

@@ -46,8 +46,8 @@ class Clock:
 
     __slots__ = ("now_us",)
 
-    def __init__(self, start_us=0):
-        self.now_us = int(start_us)
+    def __init__(self):
+        self.now_us = 0
 
     def advance_to(self, when_us):
         """Advance the clock to ``when_us``.

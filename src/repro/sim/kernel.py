@@ -3,7 +3,7 @@
 This is the substitution for the Linux 5.4 kernel the paper patches.  It
 runs simulated threads (generators yielding syscall objects) over N cores
 in virtual time, supports cgroup CPU bandwidth limits, futex wait/wake,
-timed sleeps, and -- crucially for pBox -- *resume hooks*: callbacks
+timed sleeps, and -- crucially for pBox -- a *resume hook*: a callback
 consulted whenever a thread is about to continue past a syscall, which is
 where the pBox manager injects its delay penalties (the moral equivalent
 of the kernel patch calling ``schedule_hrtimeout`` on return to user
@@ -79,6 +79,10 @@ from repro.sim.thread import (
 from repro.sim.timerwheel import TimerWheel
 
 _BLOCKED = object()  # sentinel: the thread cannot continue synchronously
+
+#: How long a futex queue's head may wait behind no live owner before
+#: :class:`IdleWatchdog` treats its wake-up as lost.
+WATCHDOG_STALE_US = 250_000
 
 
 class _Timer:
@@ -223,7 +227,7 @@ class Kernel:
         self.cgroups = {"root": self.root_cgroup}
         self.current_thread = None
         self.threads = []
-        self.resume_hooks = []
+        self.resume_hook = None
         # Penalty delivery: resume-hook delays are armed through this
         # batcher (one timer dispatch per distinct expiry) instead of
         # one timer per penalty; see PenaltyArmer.
@@ -311,11 +315,11 @@ class Kernel:
         self._enqueue(thread, compute_us=0, resume_value=None)
         return thread
 
-    def spawn_after(self, delay_us, body, name=None, cgroup=None, affinity=None):
+    def spawn_after(self, delay_us, body):
         """Spawn a thread once ``delay_us`` of virtual time has passed."""
 
         def _later():
-            self.spawn(body, name=name, cgroup=cgroup, affinity=affinity)
+            self.spawn(body)
 
         self.post(self.now_us + delay_us, _later)
 
@@ -332,16 +336,15 @@ class Kernel:
         self._wheel.insert(when_us, next(self._seq), timer)
         return timer
 
-    def call_every(self, period_us, fn, start_us=None):
+    def call_every(self, period_us, fn):
         """Run ``fn()`` every ``period_us``; ``fn`` may return False to stop."""
-        first = self.now_us + period_us if start_us is None else start_us
 
         def _tick():
             if fn() is False:
                 return
             self.post(self.now_us + period_us, _tick)
 
-        return self.post(first, _tick)
+        return self.post(self.now_us + period_us, _tick)
 
     def run(self, until_us=None):
         """Run the event loop.
@@ -461,27 +464,26 @@ class Kernel:
             thread.overhead_us += int(us)
 
     def add_resume_hook(self, hook):
-        """Register ``hook(thread) -> delay_us`` consulted at resume time.
+        """Set the ``hook(thread) -> delay_us`` consulted at resume time.
 
         A positive return value puts the thread to sleep for that long
         before its next syscall is processed -- the pBox penalty channel.
+        A kernel has one hook (its application's pBox manager); setting
+        another replaces it.
         """
-        self.resume_hooks.append(hook)
+        self.resume_hook = hook
 
     # ------------------------------------------------------------------
     # Scheduling internals
     # ------------------------------------------------------------------
 
-    def _enqueue(self, thread, compute_us, resume_value, front=False):
+    def _enqueue(self, thread, compute_us, resume_value):
         thread.pending_compute_us = compute_us
         thread._resume_value = resume_value
         if self._tp_enqueue.active:
             self._tp_enqueue.fire(self.clock.now_us, tid=thread.tid,
                                   name=thread.name)
-        if front:
-            self.run_queue.push_front(thread)
-        else:
-            self.run_queue.push(thread)
+        self.run_queue.push(thread)
         if self._idle_mask:
             self._dispatch()
 
@@ -645,25 +647,24 @@ class Kernel:
     # ------------------------------------------------------------------
 
     def _advance(self, thread, send_value):
-        hooks = self.resume_hooks
-        if hooks:
-            for hook in hooks:
-                delay = hook(thread)
-                if delay:
-                    self.stats["penalties"] += 1
-                    self.stats["penalty_us"] += delay
-                    if self._tp_penalty.active:
-                        pbox = thread.pbox
-                        self._tp_penalty.fire(
-                            self.clock.now_us, tid=thread.tid, delay_us=delay,
-                            psid=None if pbox is None else pbox.psid,
-                        )
-                    thread.state = SLEEPING
-                    thread.wakeup_event = self.penalty_armer.arm(
-                        self.clock.now_us + delay,
-                        lambda: self._advance(thread, send_value),
+        hook = self.resume_hook
+        if hook is not None:
+            delay = hook(thread)
+            if delay:
+                self.stats["penalties"] += 1
+                self.stats["penalty_us"] += delay
+                if self._tp_penalty.active:
+                    pbox = thread.pbox
+                    self._tp_penalty.fire(
+                        self.clock.now_us, tid=thread.tid, delay_us=delay,
+                        psid=None if pbox is None else pbox.psid,
                     )
-                    return
+                thread.state = SLEEPING
+                thread.wakeup_event = self.penalty_armer.arm(
+                    self.clock.now_us + delay,
+                    lambda: self._advance(thread, send_value),
+                )
+                return
         body_send = thread.body.send
         execute = self._execute
         while True:
@@ -953,11 +954,9 @@ class IdleWatchdog:
     arming requires a deadline so a bounded run stays bounded.
     """
 
-    def __init__(self, kernel, period_us=50_000, stale_us=250_000,
-                 on_deadlock=None):
+    def __init__(self, kernel, period_us=50_000, on_deadlock=None):
         self.kernel = kernel
         self.period_us = period_us
-        self.stale_us = stale_us
         self.on_deadlock = on_deadlock
         self.ticks = 0
         self.recoveries = 0
@@ -1072,9 +1071,10 @@ class IdleWatchdog:
 
         The release chain of every lock-like primitive wakes the FIFO
         head within one hold time, so a head blocked longer than
-        ``stale_us`` on a key with no live registered holder means a
-        wake-up went missing.  One wake repairs it; acquire loops
-        re-check their predicate, so a false positive is harmless churn.
+        ``WATCHDOG_STALE_US`` on a key with no live registered holder
+        means a wake-up went missing.  One wake repairs it; acquire
+        loops re-check their predicate, so a false positive is harmless
+        churn.
         """
         kernel = self.kernel
         futexes = kernel.futexes
@@ -1088,6 +1088,6 @@ class IdleWatchdog:
             queue = futexes.waiters(key)
             if not queue:
                 continue
-            if now - queue[0].blocked_since_us > self.stale_us:
+            if now - queue[0].blocked_since_us > WATCHDOG_STALE_US:
                 woken += kernel.futex_wake(key, 1)
         return woken

@@ -198,10 +198,10 @@ class Semaphore:
         self._units -= n
         self._kernel.futexes.add_owner(self, self._kernel.current_thread)
 
-    def try_acquire(self, n=1):
-        """Take ``n`` units if available; returns True on success."""
-        if self._units >= n:
-            self._units -= n
+    def try_acquire(self):
+        """Take one unit if available; returns True on success."""
+        if self._units >= 1:
+            self._units -= 1
             self._kernel.futexes.add_owner(
                 self, self._kernel.current_thread
             )
@@ -232,10 +232,10 @@ class Semaphore:
 class Condition:
     """Condition variable tied to a :class:`Mutex`."""
 
-    def __init__(self, kernel, mutex, name=None):
+    def __init__(self, kernel, mutex):
         self._kernel = kernel
         self.mutex = mutex
-        self.name = name or "condition"
+        self.name = "condition"
 
     def wait(self):
         """Release the mutex, block until notified, then re-acquire."""
@@ -248,9 +248,9 @@ class Condition:
         while not predicate():
             yield from self.wait()
 
-    def notify(self, n=1):
-        """Wake up to ``n`` waiters."""
-        self._kernel.futex_wake(self, n)
+    def notify(self):
+        """Wake one waiter."""
+        self._kernel.futex_wake(self, 1)
 
     def notify_all(self):
         """Wake every waiter."""

@@ -16,10 +16,10 @@ Two scheduler policies live behind one seam (:class:`SchedPolicy`):
   deadline, and a core picks the earliest deadline among eligible
   threads.
 
-Both policies expose the same protocol (``push`` / ``push_front`` /
-``pick_for_core`` / ``remove`` / ``threads``).  Every pick the kernel
-makes goes through ``pick_for_core``, which starts with the policy's
-own O(1) head-of-queue shortcut.  A policy may also define
+Both policies expose the same protocol (``push`` / ``pick_for_core`` /
+``remove`` / ``threads``).  Every pick the kernel makes goes through
+``pick_for_core``, which starts with the policy's own O(1)
+head-of-queue shortcut.  A policy may also define
 ``charge(thread, ran_us)``: the kernel invokes it at every slice end
 with the CPU actually consumed, so the policy can account virtual
 runtime.  Policies without it pay nothing.
@@ -117,11 +117,6 @@ class RunQueue(SchedPolicy):
         thread.state = READY
         self._queue.append(thread)
 
-    def push_front(self, thread):
-        """Prepend a READY thread (used when a slice is handed back)."""
-        thread.state = READY
-        self._queue.appendleft(thread)
-
     def pick_for_core(self, core):
         """Dequeue the first thread eligible to run on ``core``.
 
@@ -188,11 +183,10 @@ class EevdfRunQueue(SchedPolicy):
     Layout: ``_queue`` is one binary min-heap of ``(v_deadline_us,
     rank, thread)`` entries holding exactly the queued threads (no
     lazy deletion -- the kernel truth-tests it and :meth:`charge`
-    reads its length as the runnable count).  ``rank`` comes from one
-    counter: ``push`` takes ``+n`` and ``push_front`` takes ``-n``, so
-    sorting by rank reproduces FIFO queue order exactly and deadline
-    ties break by queue position.  Ranks are unique, so the heap never
-    compares threads.
+    reads its length as the runnable count).  ``rank`` is a push
+    counter, so sorting by rank reproduces FIFO queue order exactly
+    and deadline ties break by queue position.  Ranks are unique, so
+    the heap never compares threads.
 
     One heap suffices because every queued thread carries ``v_deadline
     == v_eligible + slice_us`` (one slice for all threads, stamped at
@@ -229,7 +223,8 @@ class EevdfRunQueue(SchedPolicy):
         self.slice_us = slice_us
         self.vtime_us = 0
 
-    def _enter(self, thread):
+    def push(self, thread):
+        """Stamp eligibility/deadline and queue a READY thread last."""
         thread.state = READY
         if thread.vruntime_us < self.vtime_us:
             # place_entity: a thread that slept (or was just born)
@@ -238,18 +233,8 @@ class EevdfRunQueue(SchedPolicy):
             thread.vruntime_us = self.vtime_us
         thread.v_eligible_us = thread.vruntime_us
         thread.v_deadline_us = thread.vruntime_us + self.slice_us
-
-    def push(self, thread):
-        """Stamp eligibility/deadline and queue a READY thread last."""
-        self._enter(thread)
         heappush(self._queue,
                  (thread.v_deadline_us, next(self._ranks), thread))
-
-    def push_front(self, thread):
-        """Handed-back slice: same stamping, earlier tie-break rank."""
-        self._enter(thread)
-        heappush(self._queue,
-                 (thread.v_deadline_us, -next(self._ranks), thread))
 
     def charge(self, thread, ran_us):
         """Account ``ran_us`` of service against the virtual clocks.

@@ -86,10 +86,6 @@ class LatencyRecorder:
             raise ValueError("recorder %r has no samples" % self.name)
         return sum(self.samples_us) / len(self.samples_us)
 
-    def percentile_us(self, p):
-        """Latency percentile in microseconds."""
-        return percentile(self.samples_us, p)
-
     def throughput_per_sec(self, window_us):
         """Completed requests per second over the recording window."""
         if window_us <= 0:

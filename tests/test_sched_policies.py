@@ -19,13 +19,13 @@ the heap-indexed EEVDF queue against the scan it replaced.
 
 3. **the heap-indexed eevdf queue is the scan it replaced.**  A
    verbatim copy of the scan-based queue stays here as an oracle; a
-   hypothesis differential drives both through identical push /
-   push_front / pick / charge / remove scripts with affinity masks,
-   DARC reservations and demotion windows, and compares every pick,
-   the virtual clock, every thread's stamps and the queue order after
-   each step.  The slow-path counter is pinned alongside: zero on an
-   unconstrained queue, rising when the head is pinned, reserved
-   against, or demoted.
+   hypothesis differential drives both through identical push / pick
+   / charge / remove scripts with affinity masks, DARC reservations
+   and demotion windows, and compares every pick, the virtual clock,
+   every thread's stamps and the queue order after each step.  The
+   slow-path counter is pinned alongside: zero on an unconstrained
+   queue, rising when the head is pinned, reserved against, or
+   demoted.
 """
 
 import json
@@ -310,11 +310,6 @@ class _ScanEevdfRunQueue(SchedPolicy):
         self._enter(thread)
         self._queue.append(thread)
 
-    def push_front(self, thread):
-        """Handed-back slice: same stamping, earlier tie-break rank."""
-        self._enter(thread)
-        self._queue.appendleft(thread)
-
     def charge(self, thread, ran_us):
         """Account ``ran_us`` of service against the virtual clocks.
 
@@ -429,13 +424,12 @@ _TAGS = (None, "a", "b")
 _AFFINITIES = st.none() | st.frozensets(st.integers(0, 2), min_size=1)
 _THREAD_IDS = st.integers(0, _POPULATION - 1)
 _PICK = st.tuples(st.just("pick"), st.integers(0, 2), st.integers(0, 2_500),
-                  st.sampled_from((None, "push", "push_front")))
+                  st.sampled_from((None, "push")))
 _DIFF_STEPS = st.lists(
     st.one_of(
         _PICK,
         _PICK,  # twice: picks are the operation under test
         st.tuples(st.just("push"), _THREAD_IDS),
-        st.tuples(st.just("push_front"), _THREAD_IDS),
         st.tuples(st.just("charge"), _THREAD_IDS, st.integers(0, 2_500)),
         st.tuples(st.just("remove"), _THREAD_IDS),
         st.tuples(st.just("demote"), _THREAD_IDS,
@@ -495,11 +489,11 @@ def _run_differential(steps, reservations, constraints=None):
     queued = set()
     for step in [("push", tid) for tid in range(_POPULATION)] + steps:
         op, arg = step[0], step[1]
-        if op in ("push", "push_front"):
+        if op == "push":
             if arg in queued:
                 continue
-            getattr(heap, op)(mine[arg])
-            getattr(scan, op)(theirs[arg])
+            heap.push(mine[arg])
+            scan.push(theirs[arg])
             queued.add(arg)
         elif op == "pick":
             core = cores[arg % len(cores)]
@@ -513,8 +507,8 @@ def _run_differential(steps, reservations, constraints=None):
                 heap.charge(picked, step[2])
                 scan.charge(expected, step[2])
                 if step[3] is not None:
-                    getattr(heap, step[3])(picked)
-                    getattr(scan, step[3])(expected)
+                    heap.push(picked)
+                    scan.push(expected)
                     queued.add(picked.tid)
         elif op == "charge":
             if arg in queued:

@@ -28,14 +28,6 @@ def test_fifo_order():
     assert queue.pick_for_core(core) is None
 
 
-def test_push_front_takes_priority():
-    queue = make_queue()
-    back, front = make_thread("back"), make_thread("front")
-    queue.push(back)
-    queue.push_front(front)
-    assert queue.pick_for_core(Core(0)) is front
-
-
 def test_push_sets_ready_state():
     queue = make_queue()
     thread = make_thread("t")

@@ -303,20 +303,6 @@ def test_slo_tracepoints_fire_on_the_bus():
     assert all(is_derived(name) for name in names)
 
 
-def test_emit_events_off_keeps_bus_quiet():
-    bus = TracepointBus()
-    fired = []
-    bus.subscribe("slo.breach",
-                  lambda name, t, fields: fired.append(name))
-    pipeline = _breaching_pipeline(bus)
-    pipeline.emit_events = False
-    for _ in range(20):
-        pipeline.record_request("t0", 5_000, 50_000)
-    pipeline.finalize(100_000)
-    assert [e["kind"] for e in pipeline.slo_events] == ["breach"]
-    assert fired == []
-
-
 # -- budgeted serialization ------------------------------------------------
 
 def test_coalesce_rows_sums_counts_and_maxes_percentiles():
