@@ -10,8 +10,10 @@ is a virtual-time simulator, not the authors' Xeon testbed -- but the
 shapes are (see EXPERIMENTS.md for the side-by-side record).
 """
 
+import gc
 import os
 import sys
+import time
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
 
@@ -30,9 +32,9 @@ def sweep_evaluations(case_ids, solutions, duration_s=EVAL_DURATION_S,
                       seed=1):
     """Evaluate ``case_ids`` under ``solutions`` via the parallel runner.
 
-    Returns ``{case_id: SweepEvaluation}`` in ``case_ids`` order —
-    API-compatible with per-case ``repro.cases.evaluate_case`` results,
-    but fanned over :func:`repro.runner.run_sweep`'s worker pool and
+    Returns ``{case_id: CaseEvaluation}`` in ``case_ids`` order — the
+    class per-case ``repro.cases.evaluate_case`` returns, here over job
+    results fanned over :func:`repro.runner.run_sweep`'s worker pool and
     backed by the content-addressed cache, so unchanged figure
     benchmarks are instant replays (``--no-cache`` equivalent: delete
     ``.repro-cache`` or set ``REPRO_CACHE_DIR`` to a fresh directory).
@@ -43,6 +45,60 @@ def sweep_evaluations(case_ids, solutions, duration_s=EVAL_DURATION_S,
                        seeds=(seed,), duration_s=duration_s,
                        jobs=default_jobs())
     return result.by_case(seed)
+
+
+def _timed(fn):
+    gc.collect()    # start every run from the same allocator state
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+def subscriber_overhead(case_id, duration_s, repeats, make, attach):
+    """What one bus subscriber costs a pBox run of ``case_id``.
+
+    ``make()`` builds a fresh subscriber and ``attach(subscriber, env)``
+    subscribes it to a run.  Times three variants, interleaved
+    ``repeats`` times so clock-speed drift hits each equally, and keeps
+    each one's best: *plain* (no subscriber), *attached*, and
+    *detached* (built, never attached).  Returns the subscriber of one
+    untimed attached run, for the caller's data checks, and the timings:
+    the best wall times plus the added time charged against the modeled
+    seconds (``*_ratio``, the Figure 16 normalization, unclamped: noise
+    can make it negative) and as a raw wall-clock slowdown
+    (``*_wall_ratio``).
+    """
+    from repro.cases import Solution, get_case, run_case
+
+    case = get_case(case_id)
+
+    def plain():
+        run_case(case, Solution.PBOX, duration_s=duration_s, seed=1)
+
+    def attached():
+        subscriber = make()
+        run_case(case, Solution.PBOX, duration_s=duration_s, seed=1,
+                 observer=lambda env: attach(subscriber, env))
+        return subscriber
+
+    def detached():
+        make()
+        plain()
+
+    plain()                     # warm caches before timing
+    observed = attached()
+    best = {}
+    for _ in range(repeats):
+        for name, fn in (("plain", plain), ("attached", attached),
+                         ("detached", detached)):
+            elapsed = _timed(fn)
+            if name not in best or elapsed < best[name]:
+                best[name] = elapsed
+    timings = {"%s_s" % name: best[name] for name in best}
+    for name in ("attached", "detached"):
+        timings["%s_ratio" % name] = (best[name] - best["plain"]) / duration_s
+        timings["%s_wall_ratio" % name] = best[name] / best["plain"] - 1.0
+    return observed, timings
 
 
 def write_result(name, lines):

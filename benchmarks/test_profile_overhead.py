@@ -21,11 +21,9 @@ Two guards and one artifact:
   a Table 3 lock case) so future PRs have a baseline to diff against.
 """
 
-import gc
 import json
-import time
 
-from _common import once, write_result
+from _common import once, subscriber_overhead, write_result
 
 from repro.cases import Solution, get_case, run_case
 from repro.obs import AttributionProfiler, MetricsCollector
@@ -47,58 +45,17 @@ DETACHED_BUDGET = 0.02   # measurement noise floor
 _cache = {}
 
 
-def _timed(fn):
-    gc.collect()    # start every run from the same allocator state
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
-
-
 def _measure_case(case_id):
     """Best-of interleaved plain / attached / detached wall times."""
-    case = get_case(case_id)
-
-    def plain():
-        run_case(case, Solution.PBOX, duration_s=TIMING_DURATION_S, seed=1)
-
-    def attached():
-        profiler = AttributionProfiler()
-        run_case(case, Solution.PBOX, duration_s=TIMING_DURATION_S, seed=1,
-                 observer=lambda env: profiler.attach(env.kernel.trace))
-        return profiler
-
-    def detached():
-        AttributionProfiler()   # constructed, never attached
-        run_case(case, Solution.PBOX, duration_s=TIMING_DURATION_S, seed=1)
-
-    plain()                     # warm caches before timing
-    records = len(attached()._pending)
-    best = {}
-    for _ in range(REPEATS):
-        # Interleaved so clock-speed drift hits every variant equally.
-        for name, fn in (("plain", plain), ("attached", attached),
-                         ("detached", detached)):
-            elapsed = _timed(fn)
-            if name not in best or elapsed < best[name]:
-                best[name] = elapsed
-    added_attached = best["attached"] - best["plain"]
-    added_detached = best["detached"] - best["plain"]
-    return {
-        "records": records,
-        "plain_s": best["plain"],
-        "attached_s": best["attached"],
-        "detached_s": best["detached"],
-        # Cost charged against the modeled time being profiled.
-        # Unclamped: noise can make a difference negative, and it is
-        # reported as measured.
-        "attached_ratio": added_attached / TIMING_DURATION_S,
-        "detached_ratio": added_detached / TIMING_DURATION_S,
-        # Raw wall-clock slowdowns, for transparency.
-        "attached_wall_ratio": best["attached"] / best["plain"] - 1.0,
-        "detached_wall_ratio": best["detached"] / best["plain"] - 1.0,
-        "ns_per_record": (added_attached / records * 1e9
-                          if records else 0.0),
-    }
+    profiler, timings = subscriber_overhead(
+        case_id, TIMING_DURATION_S, REPEATS, AttributionProfiler,
+        lambda profiler, env: profiler.attach(env.kernel.trace))
+    records = len(profiler._pending)
+    added_attached = timings["attached_s"] - timings["plain_s"]
+    timings["records"] = records
+    timings["ns_per_record"] = (added_attached / records * 1e9
+                                if records else 0.0)
+    return timings
 
 
 def overhead():

@@ -18,13 +18,11 @@ Two guards and one artifact:
   SLO events) so future PRs have a baseline to diff against.
 """
 
-import gc
 import json
-import time
 
-from _common import once, write_result
+from _common import once, subscriber_overhead, write_result
 
-from repro.cases import Solution, get_case, run_case
+from repro.cases import get_case
 from repro.obs import BurnRatePolicy, SLObjective, SLOEvaluator, TelemetryPipeline
 
 #: c5 is the watch-CLI flagship (clear victim/noisy split, dense
@@ -57,64 +55,22 @@ def _evaluator(case):
     )
 
 
-def _timed(fn):
-    gc.collect()    # start every run from the same allocator state
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
+def _attach(pipeline, env):
+    env.telemetry = pipeline
+    pipeline.attach(env.kernel.trace, manager=env.runtime.manager)
 
 
 def _measure_case(case_id):
     """Best-of interleaved plain / attached / detached wall times."""
     case = get_case(case_id)
-
-    def plain():
-        run_case(case, Solution.PBOX, duration_s=TIMING_DURATION_S, seed=1)
-
-    def attached():
-        pipeline = TelemetryPipeline(evaluator=_evaluator(case))
-
-        def observer(env):
-            env.telemetry = pipeline
-            pipeline.attach(env.kernel.trace, manager=env.runtime.manager)
-
-        run_case(case, Solution.PBOX, duration_s=TIMING_DURATION_S, seed=1,
-                 observer=observer)
-        return pipeline
-
-    def detached():
-        TelemetryPipeline(evaluator=_evaluator(case))  # never attached
-        run_case(case, Solution.PBOX, duration_s=TIMING_DURATION_S, seed=1)
-
-    plain()                     # warm caches before timing
-    snapshot = attached().snapshot()
-    requests = sum(t["requests"] for t in snapshot["tenants"])
-    best = {}
-    for _ in range(REPEATS):
-        # Interleaved so clock-speed drift hits every variant equally.
-        for name, fn in (("plain", plain), ("attached", attached),
-                         ("detached", detached)):
-            elapsed = _timed(fn)
-            if name not in best or elapsed < best[name]:
-                best[name] = elapsed
-    added_attached = best["attached"] - best["plain"]
-    added_detached = best["detached"] - best["plain"]
-    return {
-        "windows": len(snapshot["rows"]),
-        "requests": requests,
-        "slo_events": len(snapshot["slo_events"]),
-        "plain_s": best["plain"],
-        "attached_s": best["attached"],
-        "detached_s": best["detached"],
-        # Cost charged against the modeled time being monitored.
-        # Unclamped: noise can make a difference negative, and it is
-        # reported as measured.
-        "attached_ratio": added_attached / TIMING_DURATION_S,
-        "detached_ratio": added_detached / TIMING_DURATION_S,
-        # Raw wall-clock slowdowns, for transparency.
-        "attached_wall_ratio": best["attached"] / best["plain"] - 1.0,
-        "detached_wall_ratio": best["detached"] / best["plain"] - 1.0,
-    }
+    pipeline, timings = subscriber_overhead(
+        case_id, TIMING_DURATION_S, REPEATS,
+        lambda: TelemetryPipeline(evaluator=_evaluator(case)), _attach)
+    snapshot = pipeline.snapshot()
+    timings["windows"] = len(snapshot["rows"])
+    timings["requests"] = sum(t["requests"] for t in snapshot["tenants"])
+    timings["slo_events"] = len(snapshot["slo_events"])
+    return timings
 
 
 def overhead():

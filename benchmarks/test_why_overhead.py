@@ -17,13 +17,10 @@ Two guards and one artifact:
   traces, sum-identity check) so future PRs have a baseline to diff.
 """
 
-import gc
 import json
-import time
 
-from _common import once, write_result
+from _common import once, subscriber_overhead, write_result
 
-from repro.cases import Solution, get_case, run_case
 from repro.obs import CritPathTracer
 
 #: Same pairing as the telemetry guard: c5 (dense request traffic,
@@ -41,13 +38,6 @@ DETACHED_BUDGET = 0.02   # measurement noise floor
 _cache = {}
 
 
-def _timed(fn):
-    gc.collect()    # start every run from the same allocator state
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
-
-
 def _sum_mismatches(tracer):
     """Traces whose segment buckets do not sum to the recorded latency."""
     bad = 0
@@ -60,56 +50,14 @@ def _sum_mismatches(tracer):
 
 def _measure_case(case_id):
     """Best-of interleaved plain / attached / detached wall times."""
-    case = get_case(case_id)
-
-    def plain():
-        run_case(case, Solution.PBOX, duration_s=TIMING_DURATION_S, seed=1)
-
-    def attached():
-        tracer = CritPathTracer()
-
-        def observer(env):
-            tracer.attach(env.kernel.trace)
-
-        run_case(case, Solution.PBOX, duration_s=TIMING_DURATION_S, seed=1,
-                 observer=observer)
-        return tracer
-
-    def detached():
-        CritPathTracer()  # never attached
-        run_case(case, Solution.PBOX, duration_s=TIMING_DURATION_S, seed=1)
-
-    plain()                     # warm caches before timing
-    tracer = attached()
-    completed = tracer.completed_count()
-    retained = sum(len(tracer.slowest(t)) for t in tracer.tenants())
-    mismatches = _sum_mismatches(tracer)
-    best = {}
-    for _ in range(REPEATS):
-        # Interleaved so clock-speed drift hits every variant equally.
-        for name, fn in (("plain", plain), ("attached", attached),
-                         ("detached", detached)):
-            elapsed = _timed(fn)
-            if name not in best or elapsed < best[name]:
-                best[name] = elapsed
-    added_attached = best["attached"] - best["plain"]
-    added_detached = best["detached"] - best["plain"]
-    return {
-        "completed": completed,
-        "retained": retained,
-        "sum_mismatches": mismatches,
-        "plain_s": best["plain"],
-        "attached_s": best["attached"],
-        "detached_s": best["detached"],
-        # Cost charged against the modeled time being traced.
-        # Unclamped: noise can make a difference negative, and it is
-        # reported as measured.
-        "attached_ratio": added_attached / TIMING_DURATION_S,
-        "detached_ratio": added_detached / TIMING_DURATION_S,
-        # Raw wall-clock slowdowns, for transparency.
-        "attached_wall_ratio": best["attached"] / best["plain"] - 1.0,
-        "detached_wall_ratio": best["detached"] / best["plain"] - 1.0,
-    }
+    tracer, timings = subscriber_overhead(
+        case_id, TIMING_DURATION_S, REPEATS, CritPathTracer,
+        lambda tracer, env: tracer.attach(env.kernel.trace))
+    timings["completed"] = tracer.completed_count()
+    timings["retained"] = sum(len(tracer.slowest(t))
+                              for t in tracer.tenants())
+    timings["sum_mismatches"] = _sum_mismatches(tracer)
+    return timings
 
 
 def overhead():

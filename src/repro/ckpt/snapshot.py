@@ -12,8 +12,8 @@ comparison.
 :class:`CheckpointStore` persists artifacts zlib-compressed under a
 directory, named by content address, with a per-label ``latest``
 pointer for the supervisor's "resume from the last good checkpoint"
-path.  Writes are atomic (temp + ``os.replace``) and the temp file is
-unlinked on failure.
+path.  Writes go through :func:`repro.atomic.write_atomic`: atomic, and
+the temp file is unlinked on failure.
 """
 
 import hashlib
@@ -21,6 +21,7 @@ import json
 import os
 import zlib
 
+from repro.atomic import write_atomic
 from repro.ckpt.state import canonical_json, state_digest, walk_state
 
 #: Schema version of checkpoint artifacts.
@@ -151,31 +152,14 @@ class CheckpointStore:
         (equal ids imply byte-equal payloads).  The ``label`` pointer,
         when given, always moves to this checkpoint.
         """
-        os.makedirs(self.root, exist_ok=True)
         checkpoint_id = checkpoint.checkpoint_id
         path = self._path(checkpoint_id)
         if not os.path.exists(path):
-            payload = zlib.compress(
-                canonical_json(checkpoint.to_json_dict()).encode(), 6)
-            self._atomic_write(path, payload)
+            write_atomic(path, zlib.compress(
+                canonical_json(checkpoint.to_json_dict()).encode(), 6))
         if label is not None:
-            self._atomic_write(self._latest_path(label),
-                               checkpoint_id.encode())
+            write_atomic(self._latest_path(label), checkpoint_id.encode())
         return checkpoint_id
-
-    @staticmethod
-    def _atomic_write(path, payload):
-        tmp = path + ".tmp"
-        try:
-            with open(tmp, "wb") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     def load(self, checkpoint_id):
         """Load one artifact by content address."""

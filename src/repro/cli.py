@@ -67,6 +67,7 @@ job uses to execute every quoted command quickly.
 """
 
 import argparse
+import json
 import os
 import sys
 
@@ -77,6 +78,7 @@ from repro.analyzer import (
     parse_module,
     parse_python,
 )
+from repro.atomic import write_atomic
 from repro.cases import ALL_CASES, Solution, evaluate_case, get_case, run_case
 from repro.core.trace import PBoxTracer
 from repro.obs import (
@@ -168,6 +170,118 @@ def cmd_analyze(args):
     return 0
 
 
+#: Duration ceiling (simulated seconds) applied when REPRO_SMOKE is set.
+#: Must exceed the cases' 1 s warmup or victim recorders stay empty.
+SMOKE_DURATION_S = 1.5
+
+
+def _smoke_mode():
+    """True when the docs-CI smoke mode is requested via environment."""
+    return bool(os.environ.get("REPRO_SMOKE"))
+
+
+def _event_budget(args):
+    """``--event-budget``, clamped to 40,000 events in smoke mode."""
+    if _smoke_mode():
+        return min(args.event_budget, 40_000)
+    return args.event_budget
+
+
+def _case_evaluator(case):
+    """Default SLO evaluator for watching/explaining one case run."""
+    from repro.obs.slo import BurnRatePolicy, SLObjective, SLOEvaluator
+
+    nominal = case.nominal_baseline_us
+    objectives = {}
+    if nominal:
+        # Monitor the victim against its known uncontended baseline:
+        # bad = slower than 3x nominal, with a 90% target.
+        objectives["victim"] = SLObjective(latency_us=int(nominal * 3),
+                                           slowdown=3.0, target=0.9)
+    return SLOEvaluator(
+        objectives, policy=BurnRatePolicy(short_windows=3, long_windows=10,
+                                          threshold=2.0, clear_below=1.0))
+
+
+def _observe(args, target, attach, solution=Solution.PBOX, pipeline=None,
+             frame=None):
+    """Run an observe command's target; returns the final virtual time.
+
+    ``target`` is a case id, run through :func:`run_case` under
+    ``solution``, or ``"scale"``: one point of the scenario ``repro
+    scale`` ships (eevdf, every app family, ``--threads`` threads).
+    ``pipeline``, a telemetry pipeline (the scale target needs one),
+    gets the target's SLO evaluator and subscribes first; ``attach(env)``
+    then subscribes the command's own subscribers to ``env.kernel``.  A
+    case's subscribers attach before it builds; a scale point's
+    pipeline attaches during the build and the command's subscribers
+    after it.  ``frame()`` is called between five-window steps of the
+    kernel; without it the kernel runs to the horizon in one call.
+
+    A case run shorter than its warmup records no victim samples:
+    instead of the harness's error, print a warning and return, so the
+    command still shows what its subscribers collected.
+    """
+
+    def advance(kernel, until_us):
+        if frame is not None:
+            step_us = pipeline.window_us * 5
+            until = step_us
+            while until < until_us:
+                kernel.run(until_us=until)
+                frame()
+                until += step_us
+        kernel.run(until_us=until_us)
+
+    if target == "scale":
+        from repro.scale.scenario import (
+            EXTENDED_APP_KINDS,
+            ScaleSpec,
+            build_scale_scenario,
+        )
+        from repro.scale.sweep import default_scale_evaluator
+
+        spec = ScaleSpec(args.threads, seed=args.seed,
+                         event_budget=_event_budget(args), sched="eevdf",
+                         families=EXTENDED_APP_KINDS)
+        pipeline.evaluator = default_scale_evaluator()
+        scenario = build_scale_scenario(spec, telemetry=pipeline)
+        attach(scenario)
+        advance(scenario.kernel, spec.duration_us)
+        pipeline.finalize(scenario.kernel.now_us)
+        return scenario.kernel.now_us
+
+    case = get_case(target)
+    if pipeline is not None:
+        pipeline.evaluator = _case_evaluator(case)
+    envs = []
+
+    def observer(env):
+        envs.append(env)
+        if pipeline is not None:
+            env.telemetry = pipeline
+            pipeline.attach(env.kernel.trace, manager=env.runtime.manager)
+        attach(env)
+
+    try:
+        run_case(case, solution, duration_s=args.duration, seed=args.seed,
+                 observer=observer,
+                 driver=lambda env: advance(env.kernel, env.duration_us))
+    except RuntimeError as exc:
+        # run_case finalized the telemetry before it raised.
+        if "no victim samples" not in str(exc):
+            raise
+        print("warning: %s -- showing telemetry collected so far" % exc)
+    return envs[0].kernel.now_us
+
+
+def _title(args):
+    """Report title of a ``watch`` or ``why`` run."""
+    if args.target == "scale":
+        return "repro %s scale (%d threads)" % (args.command, args.threads)
+    return "repro %s %s" % (args.command, args.target)
+
+
 def cmd_trace(args):
     """Run a case under pBox and print the trace report.
 
@@ -177,13 +291,12 @@ def cmd_trace(args):
     tracer = PBoxTracer(record_events=args.record_events)
     recorder = SpanRecorder() if args.export else None
 
-    def observer(env):
+    def attach(env):
         tracer.attach(env.kernel.trace)
         if recorder is not None:
             recorder.attach(env.kernel.trace)
 
-    run_case(get_case(args.case), Solution.PBOX,
-             duration_s=args.duration, seed=args.seed, observer=observer)
+    _observe(args, args.case, attach)
     print(tracer.format_report())
     if recorder is not None:
         path = write_chrome_trace(recorder, args.export, case_id=args.case)
@@ -197,12 +310,11 @@ def cmd_metrics(args):
     registry = MetricsRegistry()
     collector = MetricsCollector(registry)
 
-    def observer(env):
+    def attach(env):
         env.metrics = registry
         collector.attach(env.kernel.trace)
 
-    run_case(get_case(args.case), Solution.PBOX,
-             duration_s=args.duration, seed=args.seed, observer=observer)
+    _observe(args, args.case, attach)
     print(registry.format_report())
     if args.json:
         registry.save_json(args.json)
@@ -221,12 +333,11 @@ def cmd_profile(args):
     profiler = AttributionProfiler()
     recorder = SpanRecorder(record_slices=not args.no_slices)
 
-    def observer(env):
+    def attach(env):
         profiler.attach(env.kernel.trace)
         recorder.attach(env.kernel.trace)
 
-    run_case(get_case(args.case), Solution(args.solution),
-             duration_s=args.duration, seed=args.seed, observer=observer)
+    _observe(args, args.case, attach, Solution(args.solution))
     print(profiler.format_report(top=args.top))
     profile = FoldedProfile.from_recorder(
         recorder, name="repro %s (%s)" % (args.case, args.solution))
@@ -243,40 +354,162 @@ def cmd_profile(args):
                            top=args.top)
         print("wrote %s" % args.html)
     if args.blame:
-        import json as _json
-        with open(args.blame, "w") as handle:
-            _json.dump(profiler.to_dict(), handle, indent=1)
-            handle.write("\n")
+        write_atomic(args.blame,
+                     json.dumps(profiler.to_dict(), indent=1) + "\n")
         print("wrote %s" % args.blame)
     return 0
 
 
-#: Duration ceiling (simulated seconds) applied when REPRO_SMOKE is set.
-#: Must exceed the cases' 1 s warmup or victim recorders stay empty.
-SMOKE_DURATION_S = 1.5
+def cmd_watch(args):
+    """Run a case or a scale point with a live telemetry dashboard.
 
-
-def _smoke_mode():
-    """True when the docs-CI smoke mode is requested via environment."""
-    return bool(os.environ.get("REPRO_SMOKE"))
-
-
-def _normalize_case_filter(case_filter):
-    """Forgive zero-padded case ids: ``c01`` means ``c1``.
-
-    Registry ids are unpadded (``c1``..``c17``), but padded ids show up
-    in scripts and CI configs; strip the padding instead of silently
-    matching nothing.
+    The simulation is stepped in five-window increments; between steps
+    the current snapshot is rendered as a terminal frame (cleared in
+    place on a TTY, appended otherwise).  ``--once`` runs straight to
+    the end and prints only the final state -- the mode CI smokes.
+    ``--html PATH`` additionally writes the self-contained HTML
+    dashboard at the end of the run.
     """
-    if not case_filter:
-        return case_filter
-    terms = []
-    for term in case_filter.split(","):
-        term = term.strip()
-        if len(term) > 1 and term[0] in "cC" and term[1:].isdigit():
-            term = "c%d" % int(term[1:])
-        terms.append(term)
-    return ",".join(terms)
+    from repro.obs import TelemetryPipeline, render_frame, write_html
+
+    pipeline = TelemetryPipeline()
+    clear = "\x1b[2J\x1b[H" if sys.stdout.isatty() else ""
+
+    def frame():
+        if clear:
+            print(clear, end="")
+        print(render_frame(pipeline.snapshot()))
+        if not clear:
+            print("-" * 78)
+
+    now_us = _observe(args, args.target, lambda env: None,
+                      pipeline=pipeline, frame=None if args.once else frame)
+    snapshot = pipeline.snapshot()
+    if clear and not args.once:
+        print(clear, end="")
+    print(render_frame(snapshot))
+    breached = ([entry["tenant"] for entry in snapshot["tenants"]
+                 if entry["breached"]])
+    print()
+    print("final: t=%.2fs, %d slo event(s), in breach: %s"
+          % (now_us / 1e6, len(snapshot["slo_events"]),
+             ", ".join(breached) if breached else "none"))
+    if args.html:
+        write_html(snapshot, args.html, title=_title(args))
+        print("wrote %s" % args.html)
+    return 0
+
+
+#: Byte budget for the tracer portion of results/WHY.json; leaves
+#: headroom for breach explanations under the repo-wide 64 KiB
+#: per-artifact ceiling enforced by tools/check_results_size.py.
+WHY_TRACER_BUDGET = 56 * 1024
+
+
+def _explanation(entry):
+    """One SLO breach explanation: tenant, time and its top requests."""
+    tops = ", ".join(
+        "req %d: %s %.2f ms" % (rid, kind, us / 1_000)
+        for rid, _lat, kind, us in entry["top"]
+    ) or "no traced requests in window"
+    return "%s @ %.2fs: %s" % (entry["tenant"], entry["at_us"] / 1e6, tops)
+
+
+def _why_render_html(path, title, table, explanations):
+    """Write a minimal self-contained HTML view of a ``why`` run."""
+    import html as _html
+
+    lines = [
+        "<!DOCTYPE html>",
+        "<html><head><meta charset='utf-8'><title>%s</title>"
+        % _html.escape(title),
+        "<style>body{font-family:sans-serif;margin:2em;}"
+        "pre{background:#f6f6f6;padding:1em;overflow-x:auto;}</style>",
+        "</head><body>",
+        "<h1>%s</h1>" % _html.escape(title),
+        "<pre>%s</pre>" % _html.escape(table),
+    ]
+    if explanations:
+        lines.append("<h2>SLO breach explanations</h2><ul>")
+        for entry in explanations:
+            lines.append("<li>%s</li>" % _html.escape(_explanation(entry)))
+        lines.append("</ul>")
+    lines.append("</body></html>")
+    write_atomic(path, "\n".join(lines) + "\n")
+
+
+def cmd_why(args):
+    """Explain where request latency went in a case (or scale) run.
+
+    Attaches the per-request causal tracer plus the telemetry pipeline
+    and breach explainer, runs the target under pBox, and prints the
+    slowest requests' critical-path decomposition: on-CPU, runnable
+    wait, lock wait (blamed on the holder's pBox), pool queueing,
+    sleep, cgroup throttle, and injected penalty segments that sum
+    exactly to each request's recorded latency.  Writes the machine-
+    readable summary to ``--json`` (default ``results/WHY.json``).
+    """
+    from repro.obs import BreachExplainer, CritPathTracer, TelemetryPipeline
+
+    tracer = CritPathTracer(slowest=max(args.slowest, 8))
+    pipeline = TelemetryPipeline()
+    explainer = BreachExplainer(tracer)
+
+    def attach(env):
+        tracer.attach(env.kernel.trace)
+        explainer.attach(env.kernel.trace)
+
+    _observe(args, args.target, attach, pipeline=pipeline)
+    table = tracer.format_table(slowest=args.slowest, tenant=args.tenant)
+    print(table)
+    explanations = explainer.explanations
+    if explanations:
+        print("slo breach explanations (last %d of %d):"
+              % (min(5, len(explanations)), len(explanations)))
+        for entry in explanations[-5:]:
+            print("  %s" % _explanation(entry))
+
+    doc = tracer.to_json_dict(budget_bytes=WHY_TRACER_BUDGET,
+                              slowest=args.slowest)
+    doc["target"] = args.target
+    doc["explanations"] = explanations[-20:]
+    if args.json:
+        write_atomic(args.json,
+                     json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        print("wrote %s" % args.json)
+    if args.html:
+        _why_render_html(args.html, _title(args), table, explanations[-20:])
+        print("wrote %s" % args.html)
+    return 0
+
+
+def _runner_prelude(args, label_width):
+    """What ``sweep`` and ``chaos`` set up before their jobs run.
+
+    Returns ``(case_ids, seeds, cache, progress)``: the cases
+    ``--filter`` selects (the first two in smoke mode when no filter is
+    given), the seed list, the result cache (None under ``--no-cache``)
+    and a progress printer.  Returns None, after saying so, when no
+    case matches.
+    """
+    from repro.runner import ResultCache, sweep_case_ids
+
+    case_ids = sweep_case_ids(args.filter)
+    if not case_ids:
+        print("no cases match filter %r" % args.filter)
+        return None
+    if _smoke_mode() and not args.filter:
+        case_ids = case_ids[:2]
+    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
+
+    def progress(done, total, spec, cached, wall_s):
+        if not args.quiet:
+            print("[%3d/%3d] %-*s %s" % (
+                done, total, label_width, spec.label(),
+                "hit " if cached else "%5.2fs" % wall_s))
+
+    return case_ids, seeds, cache, progress
 
 
 def cmd_sweep(args):
@@ -288,19 +521,12 @@ def cmd_sweep(args):
     processes; results are bit-identical to ``--jobs 1`` because every
     job re-seeds its own kernel (see docs/RUNNING_EXPERIMENTS.md).
     """
-    from repro.runner import (
-        ResultCache,
-        SweepInterrupted,
-        run_sweep,
-        sweep_case_ids,
-    )
+    from repro.runner import SweepInterrupted, run_sweep
 
-    case_ids = sweep_case_ids(_normalize_case_filter(args.filter))
-    if not case_ids:
-        print("no cases match filter %r" % args.filter)
+    prelude = _runner_prelude(args, 28)
+    if prelude is None:
         return 1
-    if _smoke_mode() and not args.filter:
-        case_ids = case_ids[:2]
+    case_ids, seeds, cache, progress = prelude
     solutions = []
     for name in args.solutions.split(","):
         name = name.strip()
@@ -312,26 +538,12 @@ def cmd_sweep(args):
                   "Ti); pick from the mitigating solutions" % name)
             return 1
         solutions.append(solution)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    cache = ResultCache(args.cache_dir) if not args.no_cache else None
-
-    def progress(done, total, spec, cached, wall_s):
-        if args.quiet:
-            return
-        status = "hit " if cached else "%5.2fs" % wall_s
-        print("[%3d/%3d] %-28s %s" % (done, total, spec.label(), status))
 
     try:
-        result = run_sweep(
-            case_ids=case_ids,
-            solutions=solutions,
-            seeds=seeds,
-            duration_s=args.duration,
-            jobs=args.jobs,
-            cache=cache,
-            use_cache=not args.no_cache,
-            progress=progress,
-        )
+        result = run_sweep(case_ids=case_ids, solutions=solutions,
+                           seeds=seeds, duration_s=args.duration,
+                           jobs=args.jobs, cache=cache,
+                           use_cache=not args.no_cache, progress=progress)
     except SweepInterrupted as stop:
         # Ctrl-C: persist the completed evaluations atomically instead
         # of losing the sweep (or truncating a previous SWEEP.json).
@@ -376,38 +588,19 @@ def cmd_chaos(args):
     each violation's minimized repro spec.
     """
     from repro.faults import ChaosInterrupted, run_chaos
-    from repro.runner import ResultCache, sweep_case_ids
 
-    case_ids = sweep_case_ids(_normalize_case_filter(args.filter))
-    if not case_ids:
-        print("no cases match filter %r" % args.filter)
+    prelude = _runner_prelude(args, 40)
+    if prelude is None:
         return 1
-    if _smoke_mode() and not args.filter:
-        case_ids = case_ids[:2]
+    case_ids, seeds, cache, progress = prelude
     kinds = [k.strip() for k in args.faults.split(",") if k.strip()]
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    cache = ResultCache(args.cache_dir) if not args.no_cache else None
-
-    def progress(done, total, spec, cached, wall_s):
-        if args.quiet:
-            return
-        status = "hit " if cached else "%5.2fs" % wall_s
-        print("[%3d/%3d] %-40s %s" % (done, total, spec.label(), status))
-
     run_stats = {}
     try:
-        result = run_chaos(
-            case_ids=case_ids,
-            kinds=kinds,
-            seeds=seeds,
-            duration_s=args.duration,
-            jobs=args.jobs,
-            cache=cache,
-            use_cache=not args.no_cache,
-            progress=progress,
-            timeout_s=args.timeout,
-            run_stats=run_stats,
-        )
+        result = run_chaos(case_ids=case_ids, kinds=kinds, seeds=seeds,
+                           duration_s=args.duration, jobs=args.jobs,
+                           cache=cache, use_cache=not args.no_cache,
+                           progress=progress, timeout_s=args.timeout,
+                           run_stats=run_stats)
     except ChaosInterrupted as stop:
         partial = stop.partial
         path = partial.write_json(args.out)
@@ -481,9 +674,6 @@ def cmd_scale(args):
         thread_counts = SMOKE_THREAD_COUNTS
     else:
         thread_counts = DEFAULT_THREAD_COUNTS
-    event_budget = args.event_budget
-    if _smoke_mode():
-        event_budget = min(event_budget, 40_000)
 
     print("%7s %7s %7s %6s %10s %10s %9s" % (
         "threads", "tenants", "pboxes", "cores",
@@ -499,7 +689,8 @@ def cmd_scale(args):
     # A/B guard keeps exercising the library defaults (cfs, three
     # families) via ScaleSpec directly.
     document = run_scale_sweep(thread_counts=thread_counts,
-                               seed=args.seed, event_budget=event_budget,
+                               seed=args.seed,
+                               event_budget=_event_budget(args),
                                progress=progress, telemetry=args.telemetry,
                                sched=args.sched,
                                families=EXTENDED_APP_KINDS)
@@ -514,250 +705,6 @@ def cmd_scale(args):
                      totals["breaches"], totals["recovers"]))
     print("%d point(s) in %.1fs wall; wrote %s"
           % (len(document["points"]), document["wall_s"], path))
-    return 0
-
-
-def _case_evaluator(case):
-    """Default SLO evaluator for watching/explaining one case run."""
-    from repro.obs.slo import BurnRatePolicy, SLObjective, SLOEvaluator
-
-    nominal = case.nominal_baseline_us
-    objectives = {}
-    if nominal:
-        # Monitor the victim against its known uncontended baseline:
-        # bad = slower than 3x nominal, with a 90% target.
-        objectives["victim"] = SLObjective(latency_us=int(nominal * 3),
-                                           slowdown=3.0, target=0.9)
-    return SLOEvaluator(
-        objectives, policy=BurnRatePolicy(short_windows=3, long_windows=10,
-                                          threshold=2.0, clear_below=1.0))
-
-
-def _watch_case(args, pipeline, frame):
-    """Drive one case run under ``watch``; returns final virtual time."""
-    case = get_case(args.target)
-    pipeline.evaluator = _case_evaluator(case)
-    state = {}
-
-    def observer(env):
-        state["env"] = env
-        env.telemetry = pipeline
-        pipeline.attach(env.kernel.trace, manager=env.runtime.manager)
-
-    def driver(env):
-        step_us = pipeline.window_us * 5
-        until = step_us
-        while until < env.duration_us:
-            env.kernel.run(until_us=until)
-            frame(pipeline, env.kernel.now_us)
-            until += step_us
-        env.kernel.run(until_us=env.duration_us)
-
-    try:
-        run = run_case(case, Solution.PBOX, duration_s=args.duration,
-                       seed=args.seed, observer=observer, driver=driver)
-    except RuntimeError as exc:
-        # A run shorter than the warmup records zero requests; the
-        # dashboard still has whatever windows the pipeline saw, so
-        # render those instead of crashing (telemetry was finalized
-        # before run_case raised).
-        if "no victim samples" not in str(exc):
-            raise
-        env = state.get("env")
-        print("warning: %s -- showing telemetry collected so far" % exc)
-        return env.kernel.now_us if env is not None else 0
-    return run.env.kernel.now_us
-
-
-def _scale_point_spec(args):
-    """The scale point ``watch scale`` and ``why scale`` drive: the
-    configuration ``repro scale`` ships (eevdf, all six families)."""
-    from repro.scale.scenario import EXTENDED_APP_KINDS, ScaleSpec
-
-    event_budget = args.event_budget
-    if _smoke_mode():
-        event_budget = min(event_budget, 40_000)
-    return ScaleSpec(args.threads, seed=args.seed, event_budget=event_budget,
-                     sched="eevdf", families=EXTENDED_APP_KINDS)
-
-
-def _watch_scale(args, pipeline, frame):
-    """Drive one scale point under ``watch``; returns final time."""
-    from repro.scale.scenario import build_scale_scenario
-    from repro.scale.sweep import default_scale_evaluator
-
-    pipeline.evaluator = default_scale_evaluator()
-    spec = _scale_point_spec(args)
-    scenario = build_scale_scenario(spec, telemetry=pipeline)
-    kernel = scenario.kernel
-    step_us = pipeline.window_us * 5
-    until = step_us
-    while until < spec.duration_us:
-        kernel.run(until_us=until)
-        frame(pipeline, kernel.now_us)
-        until += step_us
-    kernel.run(until_us=spec.duration_us)
-    pipeline.finalize(kernel.now_us)
-    return kernel.now_us
-
-
-def cmd_watch(args):
-    """Run a case or a scale point with a live telemetry dashboard.
-
-    The simulation is stepped in five-window increments; between steps
-    the current snapshot is rendered as a terminal frame (cleared in
-    place on a TTY, appended otherwise).  ``--once`` skips the live
-    frames and prints only the final state -- the mode CI smokes.
-    ``--html PATH`` additionally writes the self-contained HTML
-    dashboard at the end of the run.
-    """
-    from repro.obs import TelemetryPipeline, render_frame, write_html
-
-    pipeline = TelemetryPipeline()
-    clear = "\x1b[2J\x1b[H" if sys.stdout.isatty() else ""
-
-    def frame(pipe, _now_us):
-        if args.once:
-            return
-        snapshot = pipe.snapshot()
-        if clear:
-            print(clear, end="")
-        print(render_frame(snapshot))
-        if not clear:
-            print("-" * 78)
-
-    if args.target == "scale":
-        now_us = _watch_scale(args, pipeline, frame)
-        title = "repro watch scale (%d threads)" % args.threads
-    else:
-        now_us = _watch_case(args, pipeline, frame)
-        title = "repro watch %s" % args.target
-
-    snapshot = pipeline.snapshot()
-    if clear and not args.once:
-        print(clear, end="")
-    print(render_frame(snapshot))
-    breached = ([entry["tenant"] for entry in snapshot["tenants"]
-                 if entry["breached"]])
-    print()
-    print("final: t=%.2fs, %d slo event(s), in breach: %s"
-          % (now_us / 1e6, len(snapshot["slo_events"]),
-             ", ".join(breached) if breached else "none"))
-    if args.html:
-        write_html(snapshot, args.html, title=title)
-        print("wrote %s" % args.html)
-    return 0
-
-
-#: Byte budget for the tracer portion of results/WHY.json; leaves
-#: headroom for breach explanations under the repo-wide 64 KiB
-#: per-artifact ceiling enforced by tools/check_results_size.py.
-WHY_TRACER_BUDGET = 56 * 1024
-
-
-def _why_render_html(path, title, table, explanations):
-    """Write a minimal self-contained HTML view of a ``why`` run."""
-    import html as _html
-
-    lines = [
-        "<!DOCTYPE html>",
-        "<html><head><meta charset='utf-8'><title>%s</title>"
-        % _html.escape(title),
-        "<style>body{font-family:sans-serif;margin:2em;}"
-        "pre{background:#f6f6f6;padding:1em;overflow-x:auto;}</style>",
-        "</head><body>",
-        "<h1>%s</h1>" % _html.escape(title),
-        "<pre>%s</pre>" % _html.escape(table),
-    ]
-    if explanations:
-        lines.append("<h2>SLO breach explanations</h2><ul>")
-        for entry in explanations:
-            tops = ", ".join(
-                "req %d: %s %.2f ms" % (rid, kind, us / 1_000)
-                for rid, _lat, kind, us in entry["top"]
-            ) or "no traced requests in window"
-            lines.append("<li>%s @ %.2fs: %s</li>"
-                         % (_html.escape(str(entry["tenant"])),
-                            entry["at_us"] / 1e6, _html.escape(tops)))
-        lines.append("</ul>")
-    lines.append("</body></html>")
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-def cmd_why(args):
-    """Explain where request latency went in a case (or scale) run.
-
-    Attaches the per-request causal tracer plus the telemetry pipeline
-    and breach explainer, runs the target under pBox, and prints the
-    slowest requests' critical-path decomposition: on-CPU, runnable
-    wait, lock wait (blamed on the holder's pBox), pool queueing,
-    sleep, cgroup throttle, and injected penalty segments that sum
-    exactly to each request's recorded latency.  Writes the machine-
-    readable summary to ``--json`` (default ``results/WHY.json``).
-    """
-    from repro.obs import BreachExplainer, CritPathTracer, TelemetryPipeline
-
-    tracer = CritPathTracer(slowest=max(args.slowest, 8))
-    pipeline = TelemetryPipeline()
-    explainer = BreachExplainer(tracer)
-
-    if args.target == "scale":
-        from repro.scale.scenario import build_scale_scenario
-        from repro.scale.sweep import default_scale_evaluator
-
-        pipeline.evaluator = default_scale_evaluator()
-        spec = _scale_point_spec(args)
-        scenario = build_scale_scenario(spec, telemetry=pipeline)
-        tracer.attach(scenario.kernel.trace)
-        explainer.attach(scenario.kernel.trace)
-        scenario.kernel.run(until_us=spec.duration_us)
-        pipeline.finalize(scenario.kernel.now_us)
-        title = "repro why scale (%d threads)" % args.threads
-    else:
-        case = get_case(args.target)
-        pipeline.evaluator = _case_evaluator(case)
-
-        def observer(env):
-            env.telemetry = pipeline
-            pipeline.attach(env.kernel.trace, manager=env.runtime.manager)
-            tracer.attach(env.kernel.trace)
-            explainer.attach(env.kernel.trace)
-
-        run_case(case, Solution.PBOX, duration_s=args.duration,
-                 seed=args.seed, observer=observer)
-        title = "repro why %s" % args.target
-
-    table = tracer.format_table(slowest=args.slowest, tenant=args.tenant)
-    print(table)
-    if explainer.explanations:
-        print("slo breach explanations (last %d of %d):"
-              % (min(5, len(explainer.explanations)),
-                 len(explainer.explanations)))
-        for entry in explainer.explanations[-5:]:
-            tops = ", ".join(
-                "req %d: %s %.2f ms" % (rid, kind, us / 1_000)
-                for rid, _lat, kind, us in entry["top"]
-            ) or "no traced requests in window"
-            print("  %s @ %.2fs: %s"
-                  % (entry["tenant"], entry["at_us"] / 1e6, tops))
-
-    doc = tracer.to_json_dict(budget_bytes=WHY_TRACER_BUDGET,
-                              slowest=args.slowest)
-    doc["target"] = args.target
-    doc["explanations"] = explainer.explanations[-20:]
-    if args.json:
-        import json as _json
-        out_dir = os.path.dirname(args.json)
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-        with open(args.json, "w") as handle:
-            _json.dump(doc, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        print("wrote %s" % args.json)
-    if args.html:
-        _why_render_html(args.html, title, table, explainer.explanations[-20:])
-        print("wrote %s" % args.html)
     return 0
 
 
@@ -828,8 +775,6 @@ def cmd_bisect(args):
     divergent 4096-event window -- index, event range, and the actual
     event lines from a scoped second replay -- and exits 1.
     """
-    import json as _json
-
     from repro.ckpt import bisect_case
 
     expected_path = args.against or _golden_corpus_path(args.case)
@@ -837,7 +782,7 @@ def cmd_bisect(args):
         print("no golden document for %s: pass --against PATH" % args.case)
         return 2
     with open(expected_path) as handle:
-        expected = _json.load(handle)
+        expected = json.load(handle)
     report = bisect_case(args.case,
                          expected,
                          duration_s=args.duration,
@@ -878,31 +823,77 @@ def build_parser():
         description="pBox reproduction (SOSP 2023) command-line tools",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    case_ids = sorted(ALL_CASES, key=_case_order)
+
+    def command(name, summary, positional=None, duration=None, seed=True):
+        """Add subcommand ``name`` with the arguments several share.
+
+        ``positional`` is ``"case"`` (a case id) or ``"target"`` (a case
+        id or ``scale``, plus the scale point's ``--threads`` and
+        ``--event-budget``); ``duration`` is ``--duration``'s default
+        (None: no such flag); ``seed`` adds ``--seed``.
+        """
+        cmd = sub.add_parser(name, help=summary)
+        if positional == "case":
+            cmd.add_argument("case", choices=case_ids, help="case id")
+        elif positional == "target":
+            cmd.add_argument("target", choices=case_ids + ["scale"],
+                             help="a case id (runs under pBox) or 'scale'")
+            cmd.add_argument("--threads", type=int, default=200,
+                             help="thread count for the scale target "
+                                  "(default: %(default)s)")
+            cmd.add_argument("--event-budget", type=int, default=120_000,
+                             help="kernel event budget for the scale "
+                                  "target (default: %(default)s)")
+        if duration is not None:
+            cmd.add_argument("--duration", type=float, default=duration,
+                             help="simulated seconds (default: "
+                                  "%(default)s)")
+        if seed:
+            cmd.add_argument("--seed", type=int, default=1,
+                             help="kernel RNG seed (default: %(default)s)")
+        return cmd
+
+    def runner_command(name, summary, seeds, duration, out):
+        """A subcommand that fans its jobs over the experiment runner."""
+        cmd = command(name, summary, duration=duration, seed=False)
+        cmd.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                         help="worker processes (default: CPU count); "
+                              "1 = serial in-process")
+        cmd.add_argument("--filter", default=None,
+                         help="comma-separated case ids or app/resource "
+                              "substrings ('c1,c3', 'mysql'; zero-padded "
+                              "ids like c01 are accepted)")
+        cmd.add_argument("--seeds", default=seeds,
+                         help="comma-separated RNG seeds "
+                              "(default: %(default)s)")
+        cmd.add_argument("--no-cache", action="store_true",
+                         help="skip cache reads and writes")
+        cmd.add_argument("--cache-dir", default=None,
+                         help="cache root (default: $REPRO_CACHE_DIR "
+                              "or .repro-cache)")
+        cmd.add_argument("--out", default=out,
+                         help="machine-readable summary path "
+                              "(default: %(default)s)")
+        cmd.add_argument("--quiet", action="store_true",
+                         help="suppress per-job progress lines")
+        return cmd
 
     sub.add_parser("list-cases", help="list the 16 interference cases")
 
-    run_parser = sub.add_parser("run-case", help="evaluate one case")
-    run_parser.add_argument("case", choices=sorted(ALL_CASES, key=_case_order))
+    run_parser = command("run-case", "evaluate one case", "case", 6)
     run_parser.add_argument("--solution", default="pbox",
                             choices=[s.value for s in Solution
                                      if s not in (Solution.NONE,
                                                   Solution.NO_INTERFERENCE)])
-    run_parser.add_argument("--duration", type=float, default=6)
-    run_parser.add_argument("--seed", type=int, default=1)
 
-    table_parser = sub.add_parser("table3", help="interference levels")
-    table_parser.add_argument("--duration", type=float, default=6)
-    table_parser.add_argument("--seed", type=int, default=1)
+    command("table3", "interference levels", duration=6)
 
     analyze_parser = sub.add_parser("analyze",
                                     help="run Algorithm 2 on mini-C source")
     analyze_parser.add_argument("file")
 
-    trace_parser = sub.add_parser("trace", help="trace a pBox run")
-    trace_parser.add_argument("case", choices=sorted(ALL_CASES,
-                                                     key=_case_order))
-    trace_parser.add_argument("--duration", type=float, default=6)
-    trace_parser.add_argument("--seed", type=int, default=1)
+    trace_parser = command("trace", "trace a pBox run", "case", 6)
     trace_parser.add_argument("--export", metavar="PATH", default=None,
                               help="write Chrome trace-event JSON "
                                    "(Perfetto-compatible) to PATH")
@@ -910,24 +901,16 @@ def build_parser():
                               help="keep per-event records in the tracer "
                                    "ring buffer")
 
-    metrics_parser = sub.add_parser(
-        "metrics", help="run a case and print the metrics registry")
-    metrics_parser.add_argument("case", choices=sorted(ALL_CASES,
-                                                       key=_case_order))
-    metrics_parser.add_argument("--duration", type=float, default=6)
-    metrics_parser.add_argument("--seed", type=int, default=1)
+    metrics_parser = command(
+        "metrics", "run a case and print the metrics registry", "case", 6)
     metrics_parser.add_argument("--json", metavar="PATH", default=None,
                                 help="also dump the registry as JSON")
 
-    profile_parser = sub.add_parser(
-        "profile", help="run a case with the contention attribution "
-                        "profiler and flame-profile the run")
-    profile_parser.add_argument("case", choices=sorted(ALL_CASES,
-                                                       key=_case_order))
+    profile_parser = command(
+        "profile", "run a case with the contention attribution profiler "
+                   "and flame-profile the run", "case", 6)
     profile_parser.add_argument("--solution", default="pbox",
                                 choices=[s.value for s in Solution])
-    profile_parser.add_argument("--duration", type=float, default=6)
-    profile_parser.add_argument("--seed", type=int, default=1)
     profile_parser.add_argument("--top", type=int, default=20,
                                 help="rows to show per report section")
     profile_parser.add_argument("--no-slices", action="store_true",
@@ -943,76 +926,33 @@ def build_parser():
                                 help="write the attribution snapshot as "
                                      "JSON")
 
-    sweep_parser = sub.add_parser(
-        "sweep", help="evaluate the case registry through the parallel "
-                      "experiment runner (content-addressed cache)")
-    sweep_parser.add_argument("--jobs", type=int,
-                              default=os.cpu_count() or 1,
-                              help="worker processes (default: CPU count); "
-                                   "1 = serial in-process")
+    sweep_parser = runner_command(
+        "sweep", "evaluate the case registry through the parallel "
+                 "experiment runner (content-addressed cache)",
+        "1", 6, "results/SWEEP.json")
     sweep_parser.add_argument("--solutions", default="pbox",
                               help="comma-separated solutions to measure "
                                    "(default: pbox; e.g. "
                                    "pbox,cgroup,parties,retro,darc)")
-    sweep_parser.add_argument("--filter", default=None,
-                              help="comma-separated case ids or app/resource "
-                                   "substrings (e.g. 'c1,c3' or 'mysql')")
-    sweep_parser.add_argument("--seeds", default="1",
-                              help="comma-separated RNG seeds (default: 1)")
-    sweep_parser.add_argument("--duration", type=float, default=6,
-                              help="simulated seconds per run (default: 6)")
-    sweep_parser.add_argument("--no-cache", action="store_true",
-                              help="skip cache reads and writes")
-    sweep_parser.add_argument("--cache-dir", default=None,
-                              help="cache root (default: $REPRO_CACHE_DIR "
-                                   "or .repro-cache)")
-    sweep_parser.add_argument("--out", default="results/SWEEP.json",
-                              help="machine-readable sweep summary path")
-    sweep_parser.add_argument("--quiet", action="store_true",
-                              help="suppress per-job progress lines")
 
-    chaos_parser = sub.add_parser(
-        "chaos", help="fault-injection sweep: cases x fault kinds x "
-                      "seeds with invariant checking (exits non-zero "
-                      "on violations)")
-    chaos_parser.add_argument("--jobs", type=int,
-                              default=os.cpu_count() or 1,
-                              help="worker processes (default: CPU count); "
-                                   "1 = serial in-process")
+    chaos_parser = runner_command(
+        "chaos", "fault-injection sweep: cases x fault kinds x seeds with "
+                 "invariant checking (exits non-zero on violations)",
+        "1,2,3", 3, "results/CHAOS.json")
     chaos_parser.add_argument("--faults", default="stall,lost_wakeup,crash",
                               help="comma-separated fault kinds (from: "
                                    "stall, holder_stall, lost_wakeup, "
                                    "crash, penalty_misfire, "
                                    "tracepoint_drop)")
-    chaos_parser.add_argument("--filter", default=None,
-                              help="comma-separated case ids or app/resource "
-                                   "substrings ('c1,c3', 'mysql'; zero-"
-                                   "padded ids like c01 are accepted)")
-    chaos_parser.add_argument("--seeds", default="1,2,3",
-                              help="comma-separated chaos seeds "
-                                   "(default: 1,2,3)")
-    chaos_parser.add_argument("--duration", type=float, default=3,
-                              help="simulated seconds per run (default: 3)")
     chaos_parser.add_argument("--timeout", type=float, default=None,
                               help="wall-clock budget per job in seconds "
                                    "(over-budget jobs fail and retry)")
-    chaos_parser.add_argument("--no-cache", action="store_true",
-                              help="skip cache reads and writes")
-    chaos_parser.add_argument("--cache-dir", default=None,
-                              help="cache root (default: $REPRO_CACHE_DIR "
-                                   "or .repro-cache)")
-    chaos_parser.add_argument("--out", default="results/CHAOS.json",
-                              help="machine-readable chaos summary path")
-    chaos_parser.add_argument("--quiet", action="store_true",
-                              help="suppress per-job progress lines")
 
-    scale_parser = sub.add_parser(
-        "scale", help="multi-tenant scalability sweep (results/SCALE.json)")
+    scale_parser = command(
+        "scale", "multi-tenant scalability sweep (results/SCALE.json)")
     scale_parser.add_argument("--threads", default=None,
                               help="comma-separated thread counts "
                                    "(default: 100,...,10000)")
-    scale_parser.add_argument("--seed", type=int, default=1,
-                              help="root kernel seed (default: 1)")
     scale_parser.add_argument("--event-budget", type=int, default=120_000,
                               help="target kernel events per point; the "
                                    "virtual horizon shrinks as the core "
@@ -1030,47 +970,21 @@ def build_parser():
                                    "events) in an extra untimed run per "
                                    "point and embed it in SCALE.json")
 
-    watch_parser = sub.add_parser(
-        "watch", help="live per-tenant SLO telemetry dashboard over a "
-                      "case run or a scale point")
-    watch_parser.add_argument(
-        "target", choices=sorted(ALL_CASES, key=_case_order) + ["scale"],
-        help="a case id (runs under pBox) or 'scale'")
-    watch_parser.add_argument("--duration", type=float, default=6,
-                              help="simulated seconds for case targets "
-                                   "(default: 6)")
-    watch_parser.add_argument("--seed", type=int, default=1)
-    watch_parser.add_argument("--threads", type=int, default=200,
-                              help="thread count for the scale target "
-                                   "(default: 200)")
-    watch_parser.add_argument("--event-budget", type=int, default=120_000,
-                              help="kernel event budget for the scale "
-                                   "target (default: 120000)")
+    watch_parser = command(
+        "watch", "live per-tenant SLO telemetry dashboard over a case run "
+                 "or a scale point", "target", 6)
     watch_parser.add_argument("--once", action="store_true",
                               help="print only the final frame (CI smoke)")
     watch_parser.add_argument("--html", metavar="PATH", default=None,
                               help="write a self-contained HTML dashboard")
 
-    why_parser = sub.add_parser(
-        "why", help="per-request critical-path latency decomposition "
-                    "for a case run or a scale point")
-    why_parser.add_argument(
-        "target", choices=sorted(ALL_CASES, key=_case_order) + ["scale"],
-        help="a case id (runs under pBox) or 'scale'")
+    why_parser = command(
+        "why", "per-request critical-path latency decomposition for a "
+               "case run or a scale point", "target", 6)
     why_parser.add_argument("--slowest", type=int, default=5,
                             help="requests to show per tenant (default: 5)")
     why_parser.add_argument("--tenant", default=None,
                             help="only show this tenant's requests")
-    why_parser.add_argument("--duration", type=float, default=6,
-                            help="simulated seconds for case targets "
-                                 "(default: 6)")
-    why_parser.add_argument("--seed", type=int, default=1)
-    why_parser.add_argument("--threads", type=int, default=200,
-                            help="thread count for the scale target "
-                                 "(default: 200)")
-    why_parser.add_argument("--event-budget", type=int, default=120_000,
-                            help="kernel event budget for the scale "
-                                 "target (default: 120000)")
     why_parser.add_argument("--json", metavar="PATH",
                             default="results/WHY.json",
                             help="machine-readable summary path (default: "
@@ -1078,16 +992,9 @@ def build_parser():
     why_parser.add_argument("--html", metavar="PATH", default=None,
                             help="write a self-contained HTML report")
 
-    ckpt_parser = sub.add_parser(
-        "ckpt", help="checkpointed (and optionally crash-resumed) case "
-                     "run under the supervisor")
-    ckpt_parser.add_argument(
-        "case", choices=sorted(ALL_CASES, key=_case_order),
-        help="case id (runs under pBox)")
-    ckpt_parser.add_argument("--duration", type=float, default=1.5,
-                             help="simulated seconds (default: 1.5, the "
-                                  "golden-corpus horizon)")
-    ckpt_parser.add_argument("--seed", type=int, default=1)
+    ckpt_parser = command(
+        "ckpt", "checkpointed (and optionally crash-resumed) case run "
+                "under the supervisor", "case", 1.5)
     ckpt_parser.add_argument("--cadence-ms", type=float, default=250,
                              help="checkpoint cadence in virtual "
                                   "milliseconds (default: 250)")
@@ -1107,19 +1014,12 @@ def build_parser():
                                   "checkpoint and require the resumed "
                                   "digest to match")
 
-    bisect_parser = sub.add_parser(
-        "bisect", help="localize the first divergent golden event window "
-                       "of a case")
-    bisect_parser.add_argument(
-        "case", choices=sorted(ALL_CASES, key=_case_order),
-        help="case id (runs under pBox)")
+    bisect_parser = command(
+        "bisect", "localize the first divergent golden event window of a "
+                  "case", "case", 1.5)
     bisect_parser.add_argument("--against", default=None, metavar="PATH",
                                help="expected golden document (default: "
                                     "the committed tests/golden corpus)")
-    bisect_parser.add_argument("--duration", type=float, default=1.5,
-                               help="simulated seconds (default: 1.5, "
-                                    "the golden-corpus horizon)")
-    bisect_parser.add_argument("--seed", type=int, default=1)
     bisect_parser.add_argument("--lines", type=int, default=20,
                                help="divergent-window event lines to "
                                     "print (default: 20)")

@@ -24,8 +24,8 @@ stress tests.
 
 import hashlib
 import json
-import os
 
+from repro.atomic import write_atomic
 from repro.runner.cache import ResultCache, code_fingerprint
 from repro.runner.jobs import JobSpec
 from repro.runner.runner import RunInterrupted, run_jobs
@@ -107,29 +107,12 @@ class ChaosResult:
     def write_json(self, path):
         """Atomically write :meth:`to_json_dict` to ``path``.
 
-        Write-to-temp + ``os.replace`` so an interrupt mid-write can
-        never leave a truncated JSON file behind.  If serialization or
-        the write itself fails (including KeyboardInterrupt on the
-        partial-result exit-130 path), the temp file is removed so no
-        stale ``.tmp`` sits next to the output.
+        An interrupt mid-write (including KeyboardInterrupt on the
+        partial-result exit-130 path) can never leave a truncated JSON
+        file, nor a stale temp file beside the output.
         """
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        tmp = path + ".tmp"
-        try:
-            with open(tmp, "w") as handle:
-                json.dump(self.to_json_dict(), handle, indent=1,
-                          sort_keys=True)
-                handle.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
+        return write_atomic(path, json.dumps(self.to_json_dict(), indent=1,
+                                             sort_keys=True) + "\n")
 
 
 def chaos_spec(case_id, kind, seed, duration_s):

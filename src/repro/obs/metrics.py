@@ -16,6 +16,8 @@ histograms without keeping raw samples.
 
 import json
 
+from repro.atomic import write_atomic
+
 _SUB_BITS = 4
 _SUB = 1 << _SUB_BITS  # 16 linear sub-buckets per power of two
 
@@ -272,11 +274,9 @@ class MetricsRegistry:
         return registry
 
     def save_json(self, path):
-        """Write the snapshot as JSON; returns ``path``."""
-        with open(path, "w") as handle:
-            json.dump(self.to_dict(), handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        return path
+        """Atomically write the snapshot as JSON; returns ``path``."""
+        return write_atomic(path, json.dumps(self.to_dict(), indent=1,
+                                             sort_keys=True) + "\n")
 
     @classmethod
     def load_json(cls, path):

@@ -90,47 +90,25 @@ def _section_skipped(filename, exc):
             % (filename, type(exc).__name__, exc)]
 
 
-def _load_safely(loader, results_dir, filename):
-    """Run ``loader``; degrade render errors to a skip note.
+def _load_safely(render, results_dir, filename):
+    """Parse ``filename`` and render it; degrade errors to a skip note.
 
-    ``None`` (file absent) passes through untouched.  Anything the
-    renderers raise on a malformed or older-schema artifact -- missing
-    keys, wrong value shapes, truncated JSON -- becomes the one-line
-    skip note instead of a crashed report.
+    Returns None when the file is absent.  Anything a truncated file or
+    the renderer raises on a malformed or older-schema artifact --
+    invalid JSON, missing keys, wrong value shapes -- becomes the
+    one-line skip note instead of a crashed report.
     """
     import json
 
+    path = os.path.join(results_dir, filename)
+    if not os.path.exists(path):
+        return None
     try:
-        return loader(results_dir)
+        with open(path) as handle:
+            return render(json.load(handle))
     except (KeyError, IndexError, TypeError, ValueError, AttributeError,
-            json.JSONDecodeError, OSError) as exc:
+            OSError) as exc:
         return _section_skipped(filename, exc)
-
-
-#: The JSON-backed sections appended after the tab-separated tables:
-#: (title, renderer, artifact filename, regeneration hint).  Renderers
-#: are wrapped in lambdas because they are defined below.
-JSON_SECTIONS = [
-    ("Observability — unified metrics registry",
-     lambda d: _load_metrics_section(d), METRICS_SNAPSHOT,
-     "run `python -m repro metrics` with `--json results/%s`"),
-    ("Observability — contention attribution",
-     lambda d: _load_attribution_section(d), ATTRIBUTION_SNAPSHOT,
-     "run `PYTHONPATH=src python -m pytest "
-     "benchmarks/test_profile_overhead.py`"),
-    ("Sweep — registry-wide To/Ti/Ts summary",
-     lambda d: _load_sweep_section(d), SWEEP_SNAPSHOT,
-     "run `python -m repro sweep`"),
-    ("Chaos — fault injection & invariants",
-     lambda d: _load_chaos_section(d), CHAOS_SNAPSHOT,
-     "run `python -m repro chaos`"),
-    ("Scale — multi-tenant kernel scalability",
-     lambda d: _load_scale_section(d), SCALE_SNAPSHOT,
-     "run `python -m repro scale --telemetry`"),
-    ("Why — per-request critical-path decomposition",
-     lambda d: _load_why_section(d), WHY_SNAPSHOT,
-     "run `python -m repro why c5`"),
-]
 
 
 def generate_report(results_dir="results"):
@@ -154,10 +132,10 @@ def generate_report(results_dir="results"):
         else:
             parts.extend(_as_markdown_table(lines))
         parts.append("")
-    for title, loader, filename, hint in JSON_SECTIONS:
+    for title, render, filename, hint in JSON_SECTIONS:
         parts.append("## %s" % title)
         parts.append("")
-        lines = _load_safely(loader, results_dir, filename)
+        lines = _load_safely(render, results_dir, filename)
         if lines is None:
             parts.append("*(not yet generated — %s)*"
                          % (hint % filename if "%s" in hint else hint))
@@ -172,26 +150,16 @@ def generate_report(results_dir="results"):
     return "\n".join(parts)
 
 
-def _load_metrics_section(results_dir):
-    """Render the saved metrics-registry snapshot, or None if absent."""
-    path = os.path.join(results_dir, METRICS_SNAPSHOT)
-    if not os.path.exists(path):
-        return None
+def _metrics_section(snapshot):
+    """Render the saved metrics-registry snapshot."""
     from repro.obs.metrics import MetricsRegistry
 
-    registry = MetricsRegistry.load_json(path)
+    registry = MetricsRegistry.from_dict(snapshot)
     return _as_markdown_table(registry.format_table())
 
 
-def _load_attribution_section(results_dir):
-    """Render the attribution benchmark snapshot, or None if absent."""
-    path = os.path.join(results_dir, ATTRIBUTION_SNAPSHOT)
-    if not os.path.exists(path):
-        return None
-    import json
-
-    with open(path) as handle:
-        snapshot = json.load(handle)
+def _attribution_section(snapshot):
+    """Render the attribution benchmark snapshot."""
     lines = []
     overhead = snapshot.get("overhead", {})
     if overhead:
@@ -231,15 +199,8 @@ def _load_attribution_section(results_dir):
     return lines
 
 
-def _load_why_section(results_dir):
-    """Render the ``repro why`` snapshot, or None if absent."""
-    path = os.path.join(results_dir, WHY_SNAPSHOT)
-    if not os.path.exists(path):
-        return None
-    import json
-
-    with open(path) as handle:
-        snapshot = json.load(handle)
+def _why_section(snapshot):
+    """Render the ``repro why`` snapshot."""
     tenants = snapshot.get("tenants", {})
     lines = [
         "`repro why %s`: %s requests traced; latency decomposed into "
@@ -291,15 +252,8 @@ def _load_why_section(results_dir):
     return lines
 
 
-def _load_sweep_section(results_dir):
-    """Render the ``repro sweep`` snapshot, or None if absent."""
-    path = os.path.join(results_dir, SWEEP_SNAPSHOT)
-    if not os.path.exists(path):
-        return None
-    import json
-
-    with open(path) as handle:
-        snapshot = json.load(handle)
+def _sweep_section(snapshot):
+    """Render the ``repro sweep`` snapshot."""
     solutions = snapshot.get("solutions", [])
     jobs = snapshot.get("jobs", {})
     lines = []
@@ -337,15 +291,8 @@ def _load_sweep_section(results_dir):
     return lines
 
 
-def _load_chaos_section(results_dir):
-    """Render the ``repro chaos`` snapshot, or None if absent."""
-    path = os.path.join(results_dir, CHAOS_SNAPSHOT)
-    if not os.path.exists(path):
-        return None
-    import json
-
-    with open(path) as handle:
-        snapshot = json.load(handle)
+def _chaos_section(snapshot):
+    """Render the ``repro chaos`` snapshot."""
     summary = snapshot.get("summary", {})
     lines = [
         "%d chaos runs (faults: %s; seeds %s; duration %ss): %d faults "
@@ -386,15 +333,8 @@ def _load_chaos_section(results_dir):
     return lines
 
 
-def _load_scale_section(results_dir):
-    """Render the ``repro scale`` snapshot, or None if absent."""
-    path = os.path.join(results_dir, SCALE_SNAPSHOT)
-    if not os.path.exists(path):
-        return None
-    import json
-
-    with open(path) as handle:
-        snapshot = json.load(handle)
+def _scale_section(snapshot):
+    """Render the ``repro scale`` snapshot."""
     lines = []
     guard = snapshot.get("throughput_guard")
     if guard:
@@ -507,6 +447,27 @@ def _scale_telemetry_lines(snapshot):
     ]
     lines.extend(rows)
     return lines
+
+
+#: The JSON-backed sections appended after the tab-separated tables:
+#: (title, renderer, artifact filename, regeneration hint).
+JSON_SECTIONS = [
+    ("Observability — unified metrics registry", _metrics_section,
+     METRICS_SNAPSHOT,
+     "run `python -m repro metrics` with `--json results/%s`"),
+    ("Observability — contention attribution", _attribution_section,
+     ATTRIBUTION_SNAPSHOT,
+     "run `PYTHONPATH=src python -m pytest "
+     "benchmarks/test_profile_overhead.py`"),
+    ("Sweep — registry-wide To/Ti/Ts summary", _sweep_section,
+     SWEEP_SNAPSHOT, "run `python -m repro sweep`"),
+    ("Chaos — fault injection & invariants", _chaos_section,
+     CHAOS_SNAPSHOT, "run `python -m repro chaos`"),
+    ("Scale — multi-tenant kernel scalability", _scale_section,
+     SCALE_SNAPSHOT, "run `python -m repro scale --telemetry`"),
+    ("Why — per-request critical-path decomposition", _why_section,
+     WHY_SNAPSHOT, "run `python -m repro why c5`"),
+]
 
 
 def write_report(results_dir="results", output_path=None):

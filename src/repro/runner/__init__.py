@@ -17,9 +17,8 @@ makes the sweep itself a first-class subsystem:
   to serial ones;
 - :mod:`repro.runner.sweep` — :func:`run_sweep`: the two-stage
   To/Ti → Ts job graph over the case registry, aggregated into
-  :class:`SweepEvaluation` objects (drop-in for
-  ``repro.cases.CaseEvaluation``) and persisted as
-  ``results/SWEEP.json``.
+  ``repro.cases.CaseEvaluation`` objects over :class:`JobResult` views
+  and persisted as ``results/SWEEP.json``.
 
 Entry points: ``python -m repro sweep`` (CLI), the helpers in
 ``benchmarks/_common.py`` (figure/table benchmarks), and
@@ -47,7 +46,6 @@ from repro.runner.runner import (
 )
 from repro.runner.sweep import (
     JobResult,
-    SweepEvaluation,
     SweepInterrupted,
     SweepResult,
     run_sweep,
@@ -62,7 +60,6 @@ __all__ = [
     "JobTimeout",
     "ResultCache",
     "RunInterrupted",
-    "SweepEvaluation",
     "SweepInterrupted",
     "SweepResult",
     "baseline_spec",

@@ -15,14 +15,16 @@ being addressed (the files stay on disk; delete the cache root to
 reclaim space).
 
 Only the parent runner process writes entries (workers hand results
-back over the pool), and each write lands via ``os.replace`` of a
-temporary file, so a crashed or interrupted sweep can never leave a
-truncated JSON behind a valid key.
+back over the pool), and each write lands through
+:func:`repro.atomic.write_atomic`, so a crashed or interrupted sweep can
+never leave a truncated JSON behind a valid key.
 """
 
 import contextlib
 import json
 import os
+
+from repro.atomic import write_atomic
 
 try:
     import fcntl
@@ -166,14 +168,9 @@ class ResultCache:
         for debuggability (``python -m json.tool`` on an object answers
         "what produced this?"); reads only use ``result``.
         """
-        path = self.path_for(key)
         with self.write_lock():
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            tmp = path + ".tmp.%d" % os.getpid()
-            with open(tmp, "w") as handle:
-                json.dump({"spec": spec_dict, "code": fingerprint,
-                           "result": result}, handle)
-            os.replace(tmp, path)
+            write_atomic(self.path_for(key), json.dumps(
+                {"spec": spec_dict, "code": fingerprint, "result": result}))
         self.writes += 1
 
     def __len__(self):

@@ -17,9 +17,9 @@ are bit-identical to the serial ``evaluate_case`` path.
 """
 
 import json
-import os
 import time
 
+from repro.atomic import write_atomic
 from repro.runner.cache import ResultCache, code_fingerprint
 from repro.runner.jobs import (
     baseline_spec,
@@ -49,10 +49,11 @@ class SweepInterrupted(Exception):
 class JobResult:
     """Attribute view over a job's result dict.
 
-    Mirrors the slice of :class:`repro.cases.base.CaseRun` the
-    benchmarks consume (``victim_mean_us``, ``victim_p95_us``,
-    ``noisy_mean_us``), so sweep evaluations are drop-in replacements
-    in the figure/table helpers.
+    Mirrors the slice of :class:`repro.cases.base.CaseRun` that
+    :class:`~repro.cases.base.CaseEvaluation` and the benchmarks read
+    (``victim_mean_us``, ``victim_p95_us``, ``noisy_mean_us``), so a
+    sweep aggregates cached-or-computed results with the same class
+    ``evaluate_case`` builds over live runs.
     """
 
     __slots__ = ("raw",)
@@ -76,65 +77,12 @@ class JobResult:
         return "JobResult(victim_mean_us=%.1f)" % self.victim_mean_us
 
 
-class SweepEvaluation:
-    """To/Ti/Ts aggregate for one (case, seed) — Section 6.2 math.
-
-    API-compatible with :class:`repro.cases.base.CaseEvaluation`
-    (``to_us``, ``ti_us``, ``ts_us``, ``interference_level``,
-    ``reduction_ratio``, ``normalized_latency``, ``normalized_tail``,
-    plus the ``baseline`` / ``interference`` / ``solution_runs``
-    attributes), built from cached-or-computed job results instead of
-    live ``CaseRun`` objects.
-    """
-
-    def __init__(self, case, seed, baseline, interference, solution_runs):
-        self.case = case
-        self.seed = seed
-        self.baseline = baseline            # JobResult (To)
-        self.interference = interference    # JobResult (Ti)
-        self.solution_runs = solution_runs  # {Solution: JobResult}
-
-    @property
-    def to_us(self):
-        """Interference-free victim latency To."""
-        return self.baseline.victim_mean_us
-
-    @property
-    def ti_us(self):
-        """Victim latency under interference Ti."""
-        return self.interference.victim_mean_us
-
-    def ts_us(self, solution):
-        """Victim latency under ``solution``."""
-        return self.solution_runs[solution].victim_mean_us
-
-    @property
-    def interference_level(self):
-        """p = Ti/To - 1."""
-        return self.ti_us / self.to_us - 1.0
-
-    def reduction_ratio(self, solution):
-        """r = (Ti - Ts)/(Ti - To) for ``solution``."""
-        from repro.workloads import reduction_ratio
-
-        return reduction_ratio(self.ti_us, self.ts_us(solution), self.to_us)
-
-    def normalized_latency(self, solution):
-        """Ts / Ti: the Figure 11 normalization (< 1 means mitigated)."""
-        return self.ts_us(solution) / self.ti_us
-
-    def normalized_tail(self, solution):
-        """p95(Ts) / p95(Ti): the Figure 12 normalization."""
-        return (self.solution_runs[solution].victim_p95_us
-                / self.interference.victim_p95_us)
-
-
 class SweepResult:
     """Everything a finished sweep produced, plus cache/wall accounting."""
 
     def __init__(self, evaluations, solutions, seeds, duration_s,
                  fingerprint, stats):
-        #: {(case_id, seed): SweepEvaluation}
+        #: {(case_id, seed): CaseEvaluation over JobResults}
         self.evaluations = evaluations
         self.solutions = solutions
         self.seeds = seeds
@@ -144,7 +92,7 @@ class SweepResult:
         self.stats = stats
 
     def by_case(self, seed=None):
-        """``{case_id: SweepEvaluation}`` for one seed (default: first)."""
+        """``{case_id: CaseEvaluation}`` for one seed (default: first)."""
         seed = self.seeds[0] if seed is None else seed
         return {case_id: evaluation
                 for (case_id, s), evaluation in self.evaluations.items()
@@ -184,28 +132,12 @@ class SweepResult:
     def write_json(self, path):
         """Atomically write :meth:`to_json_dict` to ``path``.
 
-        Write-to-temp + ``os.replace``: an interrupt (or crash) during
-        serialization can never leave a truncated ``SWEEP.json`` where
-        a previous good one used to be — and the temp file itself is
-        removed on failure rather than left stale beside the output.
+        An interrupt (or crash) during the write can never leave a
+        truncated ``SWEEP.json`` where a previous good one used to be,
+        nor a stale temp file beside it.
         """
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        tmp = path + ".tmp"
-        try:
-            with open(tmp, "w") as handle:
-                json.dump(self.to_json_dict(), handle, indent=1,
-                          sort_keys=True)
-                handle.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
+        return write_atomic(path, json.dumps(self.to_json_dict(), indent=1,
+                                             sort_keys=True) + "\n")
 
 
 def sweep_case_ids(case_filter=None):
@@ -213,8 +145,9 @@ def sweep_case_ids(case_filter=None):
 
     The filter is a comma-separated list of terms; a case matches if
     any term equals its id or is a substring of its app name or
-    description (``"c1,c3"``, ``"mysql"``, ``"vacuum"``).  ``None``
-    selects the whole registry.
+    description (``"c1,c3"``, ``"mysql"``, ``"vacuum"``).  Zero-padded
+    ids, which scripts and CI configs write, mean the registry id
+    (``c01`` is ``c1``).  ``None`` selects the whole registry.
     """
     from repro.cases import ALL_CASES, get_case
 
@@ -222,6 +155,8 @@ def sweep_case_ids(case_filter=None):
     if not case_filter:
         return ordered
     terms = [t.strip().lower() for t in case_filter.split(",") if t.strip()]
+    terms = ["c%d" % int(t[1:]) if t[0] == "c" and t[1:].isdigit() else t
+             for t in terms]
     selected = []
     for case_id in ordered:
         case = get_case(case_id)
@@ -245,7 +180,7 @@ def run_sweep(case_ids=None, solutions=None, seeds=(1,), duration_s=6,
     ``jobs`` value yields identical numbers (the determinism guarantee
     of ``repro.sim.kernel`` lifted to sweep granularity).
     """
-    from repro.cases import Solution, get_case
+    from repro.cases import CaseEvaluation, Solution, get_case
 
     if solutions is None:
         solutions = [Solution.PBOX]
@@ -341,8 +276,8 @@ def run_sweep(case_ids=None, solutions=None, seeds=(1,), duration_s=6,
                 runs[solution] = JobResult(raw)
             if len(runs) != len(solutions):
                 continue
-            evaluations[(case_id, seed)] = SweepEvaluation(
-                case, seed, to_result, ti_result, runs)
+            evaluations[(case_id, seed)] = CaseEvaluation(
+                case, to_result, ti_result, runs)
 
     total_jobs = len(stage1) + len(stage2)
     hits = (cache.hits - hits_before) if cache is not None else 0

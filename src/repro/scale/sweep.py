@@ -15,9 +15,9 @@ full thread population live in the kernel.
 
 import gc
 import json
-import os
 import time
 
+from repro.atomic import write_atomic
 from repro.obs.slo import BurnRatePolicy, SLObjective, SLOEvaluator
 from repro.obs.telemetry import TelemetryPipeline
 from repro.scale.scenario import ScaleSpec, build_scale_scenario
@@ -260,28 +260,21 @@ def write_scale_json(document, out_path="results/SCALE.json"):
     own line, inflating a telemetry sweep ~3x past the repo-wide 64 KiB
     results cap the per-point budget was sized against.
     """
-    out_dir = os.path.dirname(out_path)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-    tmp = out_path + ".tmp"
-    with open(tmp, "w") as handle:
-        handle.write("{\n")
-        keys = sorted(document)
-        for position, key in enumerate(keys):
-            comma = "," if position < len(keys) - 1 else ""
-            if key == "points":
-                handle.write(' "points": [\n')
-                points = document["points"]
-                for index, point in enumerate(points):
-                    line = json.dumps(point, sort_keys=True,
-                                      separators=(",", ":"))
-                    tail = "," if index < len(points) - 1 else ""
-                    handle.write("  %s%s\n" % (line, tail))
-                handle.write(" ]%s\n" % comma)
-            else:
-                handle.write(' "%s": %s%s\n' % (
-                    key, json.dumps(document[key], sort_keys=True,
-                                    separators=(",", ":")), comma))
-        handle.write("}\n")
-    os.replace(tmp, out_path)
-    return out_path
+    keys = sorted(document)
+    parts = ["{\n"]
+    for position, key in enumerate(keys):
+        comma = "," if position < len(keys) - 1 else ""
+        if key == "points":
+            points = document["points"]
+            parts.append(' "points": [\n')
+            for index, point in enumerate(points):
+                line = json.dumps(point, sort_keys=True, separators=(",", ":"))
+                tail = "," if index < len(points) - 1 else ""
+                parts.append("  %s%s\n" % (line, tail))
+            parts.append(" ]%s\n" % comma)
+        else:
+            parts.append(' "%s": %s%s\n' % (
+                key, json.dumps(document[key], sort_keys=True,
+                                separators=(",", ":")), comma))
+    parts.append("}\n")
+    return write_atomic(out_path, "".join(parts))

@@ -198,16 +198,6 @@ class Semaphore:
         self._units -= n
         self._kernel.futexes.add_owner(self, self._kernel.current_thread)
 
-    def try_acquire(self):
-        """Take one unit if available; returns True on success."""
-        if self._units >= 1:
-            self._units -= 1
-            self._kernel.futexes.add_owner(
-                self, self._kernel.current_thread
-            )
-            return True
-        return False
-
     def release(self, n=1):
         """Return ``n`` units and wake waiters."""
         self._units += n
@@ -247,10 +237,6 @@ class Condition:
         """Wait (repeatedly) until ``predicate()`` is true."""
         while not predicate():
             yield from self.wait()
-
-    def notify(self):
-        """Wake one waiter."""
-        self._kernel.futex_wake(self, 1)
 
     def notify_all(self):
         """Wake every waiter."""

@@ -1,11 +1,207 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
+import os
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.obs import MetricsRegistry, validate_chrome_trace
+
+CASES = tuple("c%d" % n for n in range(1, 21))
+
+#: Every subcommand's arguments: (option strings or positional name,
+#: dest, default, type, choices, action class, metavar), sorted.  Help
+#: wording may change; nothing here may.  ``--jobs`` defaults to the
+#: CPU count, recorded as ``"cpu_count"``.
+PARSER_SURFACE = {
+    "analyze": [
+        ("file", "file", None, None, None, "_StoreAction", None),
+    ],
+    "bisect": [
+        ("--against", "against", None, None, None, "_StoreAction", "PATH"),
+        ("--duration", "duration", 1.5, "float", None, "_StoreAction", None),
+        ("--lines", "lines", 20, "int", None, "_StoreAction", None),
+        ("--seed", "seed", 1, "int", None, "_StoreAction", None),
+        ("case", "case", None, None, CASES, "_StoreAction", None),
+    ],
+    "chaos": [
+        ("--cache-dir", "cache_dir", None, None, None, "_StoreAction", None),
+        ("--duration", "duration", 3, "float", None, "_StoreAction", None),
+        ("--faults", "faults", "stall,lost_wakeup,crash",
+         None, None, "_StoreAction", None),
+        ("--filter", "filter", None, None, None, "_StoreAction", None),
+        ("--jobs", "jobs", "cpu_count", "int", None, "_StoreAction", None),
+        ("--no-cache", "no_cache", False,
+         None, None, "_StoreTrueAction", None),
+        ("--out", "out", "results/CHAOS.json",
+         None, None, "_StoreAction", None),
+        ("--quiet", "quiet", False, None, None, "_StoreTrueAction", None),
+        ("--seeds", "seeds", "1,2,3", None, None, "_StoreAction", None),
+        ("--timeout", "timeout", None, "float", None, "_StoreAction", None),
+    ],
+    "ckpt": [
+        ("--cadence-ms", "cadence_ms", 250,
+         "float", None, "_StoreAction", None),
+        ("--dir", "dir", ".repro-ckpt", None, None, "_StoreAction", None),
+        ("--duration", "duration", 1.5, "float", None, "_StoreAction", None),
+        ("--faults", "faults", None, None, None, "_StoreAction", None),
+        ("--kill-at", "kill_at", None, "float", None, "_StoreAction", "S"),
+        ("--seed", "seed", 1, "int", None, "_StoreAction", None),
+        ("--verify", "verify", False, None, None, "_StoreTrueAction", None),
+        ("case", "case", None, None, CASES, "_StoreAction", None),
+    ],
+    "list-cases": [],
+    "metrics": [
+        ("--duration", "duration", 6, "float", None, "_StoreAction", None),
+        ("--json", "json", None, None, None, "_StoreAction", "PATH"),
+        ("--seed", "seed", 1, "int", None, "_StoreAction", None),
+        ("case", "case", None, None, CASES, "_StoreAction", None),
+    ],
+    "profile": [
+        ("--blame", "blame", None, None, None, "_StoreAction", "PATH"),
+        ("--duration", "duration", 6, "float", None, "_StoreAction", None),
+        ("--folded", "folded", None, None, None, "_StoreAction", "PATH"),
+        ("--html", "html", None, None, None, "_StoreAction", "PATH"),
+        ("--json", "json", None, None, None, "_StoreAction", "PATH"),
+        ("--no-slices", "no_slices", False,
+         None, None, "_StoreTrueAction", None),
+        ("--seed", "seed", 1, "int", None, "_StoreAction", None),
+        ("--solution", "solution", "pbox", None,
+         ("no_interference", "none", "pbox", "cgroup", "parties", "retro",
+          "darc"), "_StoreAction", None),
+        ("--top", "top", 20, "int", None, "_StoreAction", None),
+        ("case", "case", None, None, CASES, "_StoreAction", None),
+    ],
+    "report": [
+        ("--results-dir", "results_dir", "results",
+         None, None, "_StoreAction", None),
+    ],
+    "run-case": [
+        ("--duration", "duration", 6, "float", None, "_StoreAction", None),
+        ("--seed", "seed", 1, "int", None, "_StoreAction", None),
+        ("--solution", "solution", "pbox", None,
+         ("pbox", "cgroup", "parties", "retro", "darc"), "_StoreAction", None),
+        ("case", "case", None, None, CASES, "_StoreAction", None),
+    ],
+    "scale": [
+        ("--event-budget", "event_budget", 120000,
+         "int", None, "_StoreAction", None),
+        ("--out", "out", "results/SCALE.json",
+         None, None, "_StoreAction", None),
+        ("--sched", "sched", "eevdf",
+         None, ("cfs", "eevdf"), "_StoreAction", None),
+        ("--seed", "seed", 1, "int", None, "_StoreAction", None),
+        ("--telemetry", "telemetry", False,
+         None, None, "_StoreTrueAction", None),
+        ("--threads", "threads", None, None, None, "_StoreAction", None),
+    ],
+    "sweep": [
+        ("--cache-dir", "cache_dir", None, None, None, "_StoreAction", None),
+        ("--duration", "duration", 6, "float", None, "_StoreAction", None),
+        ("--filter", "filter", None, None, None, "_StoreAction", None),
+        ("--jobs", "jobs", "cpu_count", "int", None, "_StoreAction", None),
+        ("--no-cache", "no_cache", False,
+         None, None, "_StoreTrueAction", None),
+        ("--out", "out", "results/SWEEP.json",
+         None, None, "_StoreAction", None),
+        ("--quiet", "quiet", False, None, None, "_StoreTrueAction", None),
+        ("--seeds", "seeds", "1", None, None, "_StoreAction", None),
+        ("--solutions", "solutions", "pbox", None, None, "_StoreAction", None),
+    ],
+    "table3": [
+        ("--duration", "duration", 6, "float", None, "_StoreAction", None),
+        ("--seed", "seed", 1, "int", None, "_StoreAction", None),
+    ],
+    "trace": [
+        ("--duration", "duration", 6, "float", None, "_StoreAction", None),
+        ("--export", "export", None, None, None, "_StoreAction", "PATH"),
+        ("--record-events", "record_events", False,
+         None, None, "_StoreTrueAction", None),
+        ("--seed", "seed", 1, "int", None, "_StoreAction", None),
+        ("case", "case", None, None, CASES, "_StoreAction", None),
+    ],
+    "watch": [
+        ("--duration", "duration", 6, "float", None, "_StoreAction", None),
+        ("--event-budget", "event_budget", 120000,
+         "int", None, "_StoreAction", None),
+        ("--html", "html", None, None, None, "_StoreAction", "PATH"),
+        ("--once", "once", False, None, None, "_StoreTrueAction", None),
+        ("--seed", "seed", 1, "int", None, "_StoreAction", None),
+        ("--threads", "threads", 200, "int", None, "_StoreAction", None),
+        ("target", "target", None,
+         None, CASES + ("scale",), "_StoreAction", None),
+    ],
+    "why": [
+        ("--duration", "duration", 6, "float", None, "_StoreAction", None),
+        ("--event-budget", "event_budget", 120000,
+         "int", None, "_StoreAction", None),
+        ("--html", "html", None, None, None, "_StoreAction", "PATH"),
+        ("--json", "json", "results/WHY.json",
+         None, None, "_StoreAction", "PATH"),
+        ("--seed", "seed", 1, "int", None, "_StoreAction", None),
+        ("--slowest", "slowest", 5, "int", None, "_StoreAction", None),
+        ("--tenant", "tenant", None, None, None, "_StoreAction", None),
+        ("--threads", "threads", 200, "int", None, "_StoreAction", None),
+        ("target", "target", None,
+         None, CASES + ("scale",), "_StoreAction", None),
+    ],
+}
+
+
+def _surface(parser):
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    surface = {}
+    for name, command in sub.choices.items():
+        rows = []
+        for action in command._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            default = action.default
+            if action.dest == "jobs" and default == (os.cpu_count() or 1):
+                default = "cpu_count"
+            rows.append((
+                " ".join(action.option_strings) or action.dest,
+                action.dest, default, getattr(action.type, "__name__", None),
+                None if action.choices is None else tuple(action.choices),
+                type(action).__name__, action.metavar))
+        surface[name] = sorted(rows, key=repr)
+    return surface
+
+
+def test_parser_surface_is_pinned():
+    assert _surface(build_parser()) == PARSER_SURFACE
+
+
+#: A line each observe command prints whatever its run collected.
+OBSERVE_HEADERS = {
+    "trace": "pBox trace report",
+    "metrics": "metrics registry",
+    "profile": "contention attribution",
+    "watch": "final: t=0.50s",
+    "why": "per-request critical paths",
+}
+
+
+@pytest.mark.parametrize("command", list(OBSERVE_HEADERS))
+def test_observe_command_degrades_gracefully_with_zero_requests(
+        command, tmp_path, capsys):
+    """A run shorter than the warmup records zero requests; each observe
+    command must still print what its subscribers collected instead of
+    crashing on the harness's no-victim-samples error."""
+    argv = [command, "c5", "--duration", "0.5"]
+    if command == "watch":
+        argv.append("--once")
+    if command == "why":
+        argv += ["--json", str(tmp_path / "WHY.json")]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "warning:" in out and "no victim samples" in out
+    assert OBSERVE_HEADERS[command] in out
+    if command == "watch":
+        assert "in breach: none" in out
 
 
 def test_list_cases(capsys):

@@ -2,8 +2,9 @@
 
 Every defaulted parameter of a module-level function or a method in the
 simulator's system layers must be passed by at least one call site
-somewhere in the repository: by keyword, by position, or by storing the
-attribute of the same name on an object other than ``self``.  A
+somewhere in the repository: by keyword or by position.  Storing an
+attribute of the same name on some object does not count: a common
+name (``thread.affinity``) would hide the option from the audit.  A
 parameter that no code ever sets is a constant with extra steps -- each
 one doubles a configuration space no workload, test or benchmark visits
 -- so it belongs in a module-level name instead.  (Defaults of nested
@@ -54,10 +55,6 @@ _HEADER = re.compile(r"^([ \t]*)(?:async[ \t]+)?(def|class)[ \t]+(\w+)"
 
 #: A name followed by an opening bracket, unless it is being defined.
 _CALL = re.compile(r"(?<!def )(?<!class )\b(\w+)[ \t]*\(")
-
-#: An attribute store (plain or augmented) on a dotted target.
-_STORE = re.compile(
-    r"(\w*)\.(\w+)[ \t]*(?:[-+*/%|&^@]|//|\*\*|<<|>>)?=(?!=)")
 
 #: What the bracket matcher steps over: brackets, comments and strings.
 _TOKEN = re.compile(r"[()\[\]{}]|#[^\n]*|\"\"\"[\s\S]*?\"\"\"|'''[\s\S]*?'''"
@@ -244,12 +241,8 @@ class _Callers:
         self.names = set(names) | set(self.inherited)
         self.keywords = {}      # called name -> keyword names passed
         self.positions = {}     # called name -> most positional args
-        self.stores = set()     # attribute names stored on non-self objects
 
     def add(self, text, headers):
-        for match in _STORE.finditer(text):
-            if match.group(1) != "self":
-                self.stores.add(match.group(2))
         for match in _CALL.finditer(text):
             name = match.group(1)
             if name == "__init__":
@@ -258,6 +251,12 @@ class _Callers:
                 call = _parse_call(text, match.start(), match.end() - 1)
                 for target in (name,) + self.inherited.get(name, ()):
                     self._record(target, call, 0)
+
+    def passes(self, called, param, index):
+        """True when some call of ``called`` passes ``param``."""
+        return (param in self.keywords.get(called, ())
+                or (index is not None
+                    and self.positions.get(called, -1) > index))
 
     def _init_call(self, text, match, headers):
         call = _parse_call(text, match.start(), match.end() - 1)
@@ -314,11 +313,8 @@ def unset_options():
         callers.add(text, headers)
     unset = []
     for module, qualname, called, param, index in declared:
-        passed = (param in callers.stores
-                  or param in callers.keywords.get(called, ())
-                  or (index is not None
-                      and callers.positions.get(called, -1) > index))
-        if not passed and (module, qualname, param) not in EXCEPTIONS:
+        if (not callers.passes(called, param, index)
+                and (module, qualname, param) not in EXCEPTIONS):
             unset.append("%s %s(%s)" % (module, qualname, param))
     return unset
 
@@ -334,3 +330,15 @@ def test_exceptions_are_still_real():
     declared = {(module, qualname, param)
                 for module, qualname, _, param, _ in _declared()}
     assert EXCEPTIONS <= declared, sorted(EXCEPTIONS - declared)
+
+
+def test_attribute_store_does_not_pass_a_parameter():
+    text = ("def spawn_after(delay, fn, affinity=None):\n"
+            "    pass\n"
+            "\n"
+            "thread.affinity = 3\n"
+            "spawn_after(5, fn)\n")
+    callers = _Callers({"spawn_after"}, {})
+    callers.add(text, _headers(text))
+    assert callers.passes("spawn_after", "fn", 1)
+    assert not callers.passes("spawn_after", "affinity", 2)
